@@ -1,11 +1,21 @@
 // Ready-task schedulers. The paper's PaRSEC default scheduler balances
 // several objectives and honours task priorities; we provide:
-//   kPriority — one shared priority queue (highest priority first, FIFO
-//               among equals). This is what all measured variants use; with
-//               every priority equal it degenerates to FIFO, which is
-//               exactly the paper's v2 behaviour.
+//   kPriority — highest priority first, FIFO among equals. This is what all
+//               measured variants use; with every priority equal it
+//               degenerates to FIFO, which is exactly the paper's v2
+//               behaviour.
 //   kFifo     — insertion order, priorities ignored.
 //   kLifo     — newest first (cache-friendly depth-first execution).
+// These three share one implementation: a priority heap per worker, each
+// behind its own mutex. A worker pushes the successors it activates into
+// its own heap and pops its own top; when its heap is empty it takes the
+// top of a peer's heap (a steal). Pushes from non-worker threads (startup
+// enumeration, comm-thread deposits, migrated-in tasks) are dealt
+// round-robin over the heaps. Ordering therefore holds per heap: with one
+// worker there is one heap and the order is exact; with several, each
+// worker runs its own heap's best task and priorities balance only through
+// the round-robin deal and the steals. Per-worker heaps keep the workers
+// from serializing on one lock at fine task grain (DESIGN.md §7).
 //   kStealing — per-worker lock-free Chase-Lev deques with work stealing,
 //               modelling PaRSEC's intra-node dynamic load balancing. The
 //               owning worker pushes and pops its own bottom without locks;
@@ -43,11 +53,12 @@ const char* to_string(SchedPolicy p);
 
 /// Contention/steal counters, cheap relaxed atomics kept on the hot paths.
 /// `contended_*` counts mutex acquisitions that had to wait (try_lock
-/// failed first); for kStealing these only arise on the shared injection
-/// queue, so the delta against the central scheduler is the design's win.
+/// failed first), summed over every heap's (or the injection queue's)
+/// mutex. With per-worker heaps only an owner meeting a thief or a
+/// non-worker push contends.
 struct SchedStats {
-  uint64_t steals = 0;          ///< tasks taken from another worker's deque
-  uint64_t steal_attempts = 0;  ///< top-end probes (incl. failed CAS races)
+  uint64_t steals = 0;          ///< tasks a worker took from a peer's queue
+  uint64_t steal_attempts = 0;  ///< peer probes (incl. lost races)
   uint64_t contended_pushes = 0;
   uint64_t contended_pops = 0;
 
@@ -70,9 +81,10 @@ class Scheduler {
   virtual ~Scheduler() = default;
 
   /// Enqueue a ready task. `worker` is the id of the pushing worker, or -1
-  /// when pushed by the comm thread / startup enumeration. For kStealing,
-  /// a push with worker >= 0 MUST be issued from that worker's own thread
-  /// (the deque bottom is single-owner); any thread may push with -1.
+  /// when pushed by the comm thread / startup enumeration (spread over the
+  /// workers' queues). For kStealing, a push with worker >= 0 MUST be
+  /// issued from that worker's own thread (the deque bottom is
+  /// single-owner); any thread may push with -1.
   virtual void push(ReadyTask t, int worker) = 0;
 
   /// Enqueue several sibling activations at once (a completed task waking
@@ -82,7 +94,9 @@ class Scheduler {
     ts.clear();
   }
 
-  /// Dequeue the best task for `worker`; false if none available anywhere.
+  /// Dequeue the best task for `worker` (its own queue first, then a
+  /// peer's); false if none available anywhere. `worker` = -1 scans every
+  /// queue.
   virtual bool try_pop(ReadyTask& out, int worker) = 0;
 
   /// Remove up to `max_n` ready tasks for migration to another node (the
@@ -104,7 +118,7 @@ class Scheduler {
   /// the queues are quiescent.
   virtual size_t size() const = 0;
 
-  /// Number of successful steals (kStealing only; 0 otherwise).
+  /// Number of tasks a worker took from a peer's heap or deque.
   virtual uint64_t steals() const { return 0; }
 
   /// Snapshot of the contention counters.

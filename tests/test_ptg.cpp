@@ -4,6 +4,7 @@
 // API misuse detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -318,6 +319,111 @@ TEST(Scheduler, StealingMovesWorkBetweenWorkers) {
   EXPECT_TRUE(s->try_pop(out, 1));  // worker 1 steals it
   EXPECT_EQ(s->steals(), 1u);
   EXPECT_FALSE(s->try_pop(out, 1));
+}
+
+// --- per-worker heaps (kPriority / kFifo / kLifo) with several workers ---
+
+constexpr SchedPolicy kHeapPolicies[] = {
+    SchedPolicy::kPriority, SchedPolicy::kFifo, SchedPolicy::kLifo};
+
+ReadyTask heap_task(int id, double priority = 0.0) {
+  ReadyTask t;
+  t.priority = priority;
+  t.seq = static_cast<uint64_t>(id);
+  t.key = TaskKey{0, params_of(id)};
+  return t;
+}
+
+TEST(Scheduler, NonWorkerPushesReachEveryWorkerHeap) {
+  for (auto policy : kHeapPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    constexpr int kWorkers = 3;
+    auto s = Scheduler::create(policy, kWorkers);
+    // Single pushes and one batch, all from a non-worker thread: each
+    // worker then finds work in its own heap and never has to steal.
+    for (int i = 0; i < kWorkers; ++i) s->push(heap_task(i), -1);
+    std::vector<ReadyTask> batch;
+    for (int i = 0; i < 2 * kWorkers; ++i) batch.push_back(heap_task(10 + i));
+    s->push_batch(std::move(batch), -1);
+    ReadyTask out;
+    for (int round = 0; round < 3; ++round) {
+      for (int w = 0; w < kWorkers; ++w) {
+        EXPECT_TRUE(s->try_pop(out, w)) << "worker " << w;
+      }
+    }
+    EXPECT_EQ(s->steals(), 0u);
+    EXPECT_EQ(s->size(), 0u);
+  }
+}
+
+TEST(Scheduler, NonWorkerPopDrainsEveryHeapIncludingHeapZero) {
+  for (auto policy : kHeapPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    constexpr int kWorkers = 3;
+    auto s = Scheduler::create(policy, kWorkers);
+    for (int w = 0; w < kWorkers; ++w) {
+      s->push(heap_task(2 * w), w);
+      s->push(heap_task(2 * w + 1), w);
+    }
+    std::vector<ReadyTask> got;
+    EXPECT_EQ(s->harvest(got, 100), 2u * kWorkers);
+    std::vector<int> ids;
+    for (const auto& t : got) ids.push_back(t.key.p[0]);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    ReadyTask out;
+    EXPECT_FALSE(s->try_pop(out, -1));
+    EXPECT_EQ(s->size(), 0u);
+  }
+}
+
+TEST(Scheduler, StealTakesPeersHighestPriorityTask) {
+  auto s = Scheduler::create(SchedPolicy::kPriority, 2);
+  s->push(heap_task(0, 1.0), 0);
+  s->push(heap_task(1, 5.0), 0);
+  s->push(heap_task(2, 3.0), 0);
+  ReadyTask out;
+  ASSERT_TRUE(s->try_pop(out, 1));  // worker 1's heap is empty: steal
+  EXPECT_EQ(out.key.p[0], 1);
+  EXPECT_EQ(out.priority, 5.0);
+  const SchedStats st = s->stats();
+  EXPECT_EQ(st.steals, 1u);
+  EXPECT_GE(st.steal_attempts, st.steals);
+  EXPECT_EQ(st.validate(), "");
+  // The owner still pops its own heap in priority order.
+  ASSERT_TRUE(s->try_pop(out, 0));
+  EXPECT_EQ(out.key.p[0], 2);
+  ASSERT_TRUE(s->try_pop(out, 0));
+  EXPECT_EQ(out.key.p[0], 0);
+  EXPECT_EQ(s->steals(), 1u);
+}
+
+TEST(Scheduler, SizeIsExactAtQuiescence) {
+  for (auto policy : kHeapPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    constexpr int kWorkers = 3;
+    auto s = Scheduler::create(policy, kWorkers);
+    int id = 0;
+    for (int w = -1; w < kWorkers; ++w) {
+      s->push(heap_task(id++), w);
+      std::vector<ReadyTask> batch;
+      for (int i = 0; i < 4; ++i) batch.push_back(heap_task(id++));
+      s->push_batch(std::move(batch), w);
+    }
+    EXPECT_EQ(s->size(), static_cast<size_t>(id));
+    ReadyTask out;
+    size_t popped = 0;
+    for (int w = 0; w < kWorkers; ++w) {
+      ASSERT_TRUE(s->try_pop(out, w));
+      ++popped;
+      EXPECT_EQ(s->size(), static_cast<size_t>(id) - popped);
+    }
+    // One worker drains everything, its own heap first then by stealing.
+    while (s->try_pop(out, 1)) ++popped;
+    EXPECT_EQ(popped, static_cast<size_t>(id));
+    EXPECT_EQ(s->size(), 0u);
+    EXPECT_EQ(s->stats().validate(), "");
+  }
 }
 
 TEST(Scheduler, PolicyNames) {

@@ -179,7 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
         StressCase{4, 3, 12, 16, SchedPolicy::kLifo, 5},
         StressCase{4, 2, 20, 8, SchedPolicy::kStealing, 6},
         StressCase{5, 2, 5, 25, SchedPolicy::kPriority, 7},
-        StressCase{2, 4, 30, 6, SchedPolicy::kStealing, 8}),
+        StressCase{2, 4, 30, 6, SchedPolicy::kStealing, 8},
+        StressCase{1, 3, 12, 10, SchedPolicy::kFifo, 9},
+        StressCase{1, 4, 16, 8, SchedPolicy::kLifo, 10},
+        StressCase{3, 3, 8, 12, SchedPolicy::kLifo, 11},
+        StressCase{2, 4, 10, 10, SchedPolicy::kFifo, 12}),
     [](const auto& info) {
       const auto& c = info.param;
       return "r" + std::to_string(c.nranks) + "w" +
