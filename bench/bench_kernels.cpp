@@ -32,24 +32,9 @@ namespace {
 #ifndef MP_GIT_SHA
 #define MP_GIT_SHA "unknown"
 #endif
-#ifndef MP_NATIVE_BUILD
-#define MP_NATIVE_BUILD "OFF"
-#endif
 #ifndef MP_BUILD_TYPE
 #define MP_BUILD_TYPE "unknown"
 #endif
-
-const char* isa_name() {
-#if defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
-#elif defined(__AVX__)
-  return "avx";
-#else
-  return "sse2";
-#endif
-}
 
 std::vector<double> random_vec(size_t n, uint32_t seed) {
   std::mt19937 rng(seed);
@@ -143,60 +128,70 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report;
   report.set_config("git_sha", MP_GIT_SHA);
-  report.set_config("mp_native", MP_NATIVE_BUILD);
   report.set_config("build_type", MP_BUILD_TYPE);
-  report.set_config("isa", isa_name());
+  // The tier dgemm's run-time dispatch picks for the square sweep (m >= 32);
+  // the m = 4 rows run on the baseline tier (DESIGN.md §7).
+  const char* isa = linalg::to_string(linalg::gemm_tier_for(32));
+  report.set_config("isa", isa);
   report.set_config("compiler", __VERSION__);
   report.set_config("mode", quick ? "quick" : "full");
 
   // ---- DGEMM sweep ---------------------------------------------------------
-  const std::vector<size_t> gemm_sizes =
-      quick ? std::vector<size_t>{32, 64, 128}
-            : std::vector<size_t>{32, 64, 96, 128, 192, 256};
-  const struct {
+  // Square sizes in two transpose combos, then the GEMM shapes the ladder
+  // benchmark runs: 4x4x4 NT is the fine workloads' tile-2 GEMM and
+  // 64x36x64 NT is every GEMM of ladder_coarse.
+  struct GemmShape {
+    size_t m, n, k;
     char ta, tb;
-  } combos[] = {{'N', 'N'}, {'T', 'N'}};
+  };
+  std::vector<GemmShape> shapes;
+  for (size_t n : quick ? std::vector<size_t>{32, 64, 128}
+                        : std::vector<size_t>{32, 64, 96, 128, 192, 256}) {
+    shapes.push_back({n, n, n, 'N', 'N'});
+    shapes.push_back({n, n, n, 'T', 'N'});
+  }
+  shapes.push_back({4, 4, 4, 'N', 'T'});
+  shapes.push_back({64, 36, 64, 'N', 'T'});
   std::printf("%-18s %10s %10s %10s %8s\n", "case", "median", "p10", "p90",
               "vs-ref");
-  for (size_t n : gemm_sizes) {
-    const auto a = random_vec(n * n, 1);
-    const auto b = random_vec(n * n, 2);
-    std::vector<double> c(n * n), cref(n * n);
-    const double flops = 2.0 * static_cast<double>(n) * n * n;
-    for (const auto& tt : combos) {
-      linalg::dgemm(tt.ta, tt.tb, n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-                    c.data(), n);
-      naive_dgemm(tt.ta, tt.tb, n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-                  cref.data(), n);
-      ok &= check_close(c, cref, 1e-11 * static_cast<double>(n), "dgemm");
+  for (const GemmShape& s : shapes) {
+    const size_t lda = s.ta == 'T' ? s.k : s.m;
+    const size_t ldb = s.tb == 'T' ? s.n : s.k;
+    const auto a = random_vec(s.m * s.k, 1);
+    const auto b = random_vec(s.k * s.n, 2);
+    std::vector<double> c(s.m * s.n), cref(s.m * s.n);
+    const double flops = 2.0 * static_cast<double>(s.m) * s.n * s.k;
+    const auto run = [&](auto&& gemm, std::vector<double>& out) {
+      gemm(s.ta, s.tb, s.m, s.n, s.k, 1.0, a.data(), lda, b.data(), ldb, 0.0,
+           out.data(), s.m);
+    };
+    run(linalg::dgemm, c);
+    run(naive_dgemm, cref);
+    ok &= check_close(c, cref, 1e-11 * static_cast<double>(s.k), "dgemm");
 
-      bench::BenchCase bc;
-      bc.name = "dgemm_" + std::to_string(n) + "_" + tt.ta + tt.tb;
-      bc.kind = "dgemm";
-      bc.metric = "gflops";
-      bc.params = {{"m", static_cast<long>(n)},
-                   {"n", static_cast<long>(n)},
-                   {"k", static_cast<long>(n)}};
-      bc.samples = sample_throughput(
-          [&] {
-            linalg::dgemm(tt.ta, tt.tb, n, n, n, 1.0, a.data(), n, b.data(),
-                          n, 0.0, c.data(), n);
-          },
-          flops * 1e-9, reps, min_sample);
-      const auto ref = sample_throughput(
-          [&] {
-            naive_dgemm(tt.ta, tt.tb, n, n, n, 1.0, a.data(), n, b.data(), n,
-                        0.0, cref.data(), n);
-          },
-          flops * 1e-9, std::min(reps, 3), min_sample);
-      bc.ref_median = bench::percentile(ref, 50.0);
-      std::printf("%-18s %8.2f G %8.2f G %8.2f G %7.2fx\n", bc.name.c_str(),
-                  bench::percentile(bc.samples, 50.0),
-                  bench::percentile(bc.samples, 10.0),
-                  bench::percentile(bc.samples, 90.0),
-                  bench::percentile(bc.samples, 50.0) / bc.ref_median);
-      report.add(std::move(bc));
-    }
+    bench::BenchCase bc;
+    bc.name = s.m == s.n && s.n == s.k
+                  ? "dgemm_" + std::to_string(s.m) + "_" + s.ta + s.tb
+                  : "dgemm_" + std::to_string(s.m) + "x" + std::to_string(s.n) +
+                        "x" + std::to_string(s.k) + "_" + s.ta + s.tb;
+    bc.kind = "dgemm";
+    bc.metric = "gflops";
+    bc.params = {{"m", static_cast<long>(s.m)},
+                 {"n", static_cast<long>(s.n)},
+                 {"k", static_cast<long>(s.k)}};
+    bc.samples = sample_throughput([&] { run(linalg::dgemm, c); },
+                                   flops * 1e-9, reps, min_sample);
+    const auto ref = sample_throughput([&] { run(naive_dgemm, cref); },
+                                       flops * 1e-9, std::min(reps, 3),
+                                       min_sample);
+    bc.ref_median = bench::percentile(ref, 50.0);
+    std::printf("%-18s %8.2f G %8.2f G %8.2f G %7.2fx  %s\n",
+                bc.name.c_str(), bench::percentile(bc.samples, 50.0),
+                bench::percentile(bc.samples, 10.0),
+                bench::percentile(bc.samples, 90.0),
+                bench::percentile(bc.samples, 50.0) / bc.ref_median,
+                linalg::to_string(linalg::gemm_tier_for(s.m)));
+    report.add(std::move(bc));
   }
 
   // ---- SORT_4 sweep --------------------------------------------------------
@@ -284,7 +279,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     ok = false;
   }
-  std::printf("\nwrote %s (git_sha=%s isa=%s native=%s)\n", out_path.c_str(),
-              MP_GIT_SHA, isa_name(), MP_NATIVE_BUILD);
+  std::printf("\nwrote %s (git_sha=%s isa=%s)\n", out_path.c_str(),
+              MP_GIT_SHA, isa);
   return ok ? 0 : 1;
 }

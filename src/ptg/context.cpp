@@ -265,10 +265,7 @@ void Context::execute_task(ReadyTask t, int wid) {
         m.dst = dst;
         m.tag = kTagActivate;
         m.payload = w.take();
-        {
-          std::lock_guard lock(out_mu_);
-          outbox_.push_back(std::move(m));
-        }
+        post(std::move(m));
         remote_sent_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -299,10 +296,7 @@ void Context::execute_task(ReadyTask t, int wid) {
     m.dst = t.origin;
     m.tag = kTagCredit;
     m.payload = w.take();
-    {
-      std::lock_guard lock(out_mu_);
-      outbox_.push_back(std::move(m));
-    }
+    post(std::move(m));
     foreign_pending_.fetch_sub(1, std::memory_order_relaxed);
     // Release after the migrated-in count it is bounded by (the bound was
     // incremented before this task was even visible to pop).
@@ -311,6 +305,19 @@ void Context::execute_task(ReadyTask t, int wid) {
   }
   executed_.fetch_add(1, std::memory_order_acq_rel);
   maybe_local_complete();
+}
+
+void Context::post(vc::Message m) {
+  bool was_empty = false;
+  {
+    std::lock_guard lock(out_mu_);
+    was_empty = outbox_.empty();
+    outbox_.push_back(std::move(m));
+  }
+  // The comm thread only waits after it has drained the outbox, so only
+  // the push that makes it non-empty needs to end that wait; later pushes
+  // find it draining or about to.
+  if (was_empty) rctx_.mailbox().wake();
 }
 
 void Context::maybe_local_complete() {
@@ -871,10 +878,7 @@ void Context::handle_confirmed_death(int dead) {
     m.dst = dst;
     m.tag = kTagActivate;
     m.payload = w.take();
-    {
-      std::lock_guard lock(out_mu_);
-      outbox_.push_back(std::move(m));
-    }
+    post(std::move(m));
     remote_sent_.fetch_add(1, std::memory_order_relaxed);
   }
 

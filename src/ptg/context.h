@@ -403,6 +403,9 @@ class Context {
   /// credit). Latches local completion exactly once: without stealing it
   /// sets done_; with stealing it reports local-done towards rank 0.
   void maybe_local_complete();
+  /// Queue `m` in the outbox for the comm thread to send, waking the comm
+  /// thread from its mailbox wait when the outbox was empty.
+  void post(vc::Message m);
   /// Rank 0 only: record a rank's local-done report tagged with the
   /// sender's confirmed-dead mask; broadcasts JOB_DONE once every live rank
   /// has reported with a mask covering rank 0's own dead set (per-epoch

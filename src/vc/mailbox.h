@@ -1,6 +1,8 @@
 // Blocking multi-producer multi-consumer mailbox holding inbound messages of
 // one rank. Supports non-blocking polls (used by the runtime's comm thread)
-// and bounded waits, plus a close() that wakes all waiters (shutdown path).
+// and bounded waits, plus a close() that wakes all waiters (shutdown path)
+// and a wake() that ends a wait without a message (the owner has other
+// work for the waiting thread, e.g. an outbox to flush).
 //
 // Delivery is idempotent: each fabric-stamped message carries a per-source
 // wire sequence number, and the mailbox keeps a per-source window (exactly-
@@ -54,11 +56,24 @@ class Mailbox {
     return pop_locked();
   }
 
-  /// Pop, waiting up to `timeout`. Returns nullopt on timeout or close.
+  /// Pop, waiting up to `timeout`. Returns nullopt on timeout, close or
+  /// wake().
   std::optional<Message> pop_wait(std::chrono::microseconds timeout) {
     std::unique_lock lock(mu_);
-    cv_.wait_for(lock, timeout, [&] { return closed_ || !queue_.empty(); });
+    cv_.wait_for(lock, timeout,
+                 [&] { return closed_ || woken_ || !queue_.empty(); });
+    woken_ = false;
     return pop_locked();
+  }
+
+  /// End the current pop_wait(), or the next one if none is waiting,
+  /// without a message. Wakes that arrive before a wait collapse into one.
+  void wake() {
+    {
+      std::lock_guard lock(mu_);
+      woken_ = true;
+    }
+    cv_.notify_all();
   }
 
   /// Wake all waiters; subsequent pushes are rejected. Messages already
@@ -159,6 +174,7 @@ class Mailbox {
   std::map<int, SeqWindow> windows_;
   std::atomic<uint64_t> duplicates_filtered_{0};
   bool closed_ = false;
+  bool woken_ = false;
 };
 
 }  // namespace mp::vc

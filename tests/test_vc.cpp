@@ -96,6 +96,31 @@ TEST(Mailbox, CloseWakesWaitersAndRejectsPush) {
   EXPECT_TRUE(mb.closed());
 }
 
+TEST(Mailbox, WakeEndsOneWaitWithoutMessage) {
+  // The comm thread's outbox wake: a wake() during a wait ends it early,
+  // a wake() before a wait ends the next one at once, and each wake ends
+  // only one wait.
+  Mailbox mb;
+  std::thread t([&] {
+    std::this_thread::sleep_for(2ms);
+    mb.wake();
+  });
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mb.pop_wait(10s).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+  t.join();
+
+  mb.wake();
+  mb.wake();
+  t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mb.pop_wait(10s).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+  t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mb.pop_wait(5ms).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 4ms);
+  EXPECT_FALSE(mb.closed());
+}
+
 TEST(Mailbox, DrainAfterClose) {
   Mailbox mb;
   Message m;
