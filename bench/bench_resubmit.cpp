@@ -26,8 +26,10 @@
 // --resubmit-smoke gates the acceptance ratio (the amortization claim):
 // the steady-state per-submission non-compute overhead must be >= 10x
 // lower than the cold first iteration (inspect + build + run with thread
-// spin-up) at the workload size. The overhead-component ratio
-// (inspect + build_x8 + cold_overhead) / steady_overhead is also printed.
+// spin-up) at the workload size. That ratio mixes a full iteration
+// (compute included) with a near-empty overhead, so it also gates the
+// like-for-like ratio (inspect + build_x8 + cold_overhead) /
+// steady_overhead of the same near-empty plan: >= kOverheadGate.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,6 +55,8 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kRanks = 8;
 constexpr int kWorkers = 2;
+/// Minimum cold / steady overhead ratio of the like-for-like gate.
+constexpr double kOverheadGate = 2.0;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
@@ -322,6 +326,19 @@ int main(int argc, char** argv) {
                  "must be >= 10x lower than the cold first iteration "
                  "(got %.1fx)\n",
                  ratio);
+    return 1;
+  }
+  // The like-for-like gate: the same near-empty plan, cold (inspect +
+  // build x8 + one-shot run with thread spin-up) over steady. Quiet-host
+  // medians of the ratio were ~3.4x and ~10x in two sets of runs (minimum
+  // 2.6x over 21 runs), so 2x holds the amortization without tracking
+  // host noise.
+  if (smoke && overhead_ratio < kOverheadGate) {
+    std::fprintf(stderr,
+                 "resubmit-smoke FAILED: steady-state overhead must be >= "
+                 "%.0fx lower than the cold overhead of the same plan "
+                 "(got %.1fx)\n",
+                 kOverheadGate, overhead_ratio);
     return 1;
   }
   return 0;

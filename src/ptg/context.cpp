@@ -25,6 +25,7 @@ Context::Context(vc::RankCtx& rank_ctx, const Taskpool& pool, Options opts)
   MP_REQUIRE(opts_.num_workers >= 1, "Context: need at least one worker");
   pool_.validate();
   sched_ = Scheduler::create(opts_.policy, opts_.num_workers);
+  workers_ = std::vector<WorkerState>(static_cast<size_t>(opts_.num_workers));
   worker_events_.resize(static_cast<size_t>(opts_.num_workers));
   load_hints_.assign(static_cast<size_t>(nranks()), -1);
   steal_rng_ = Rng(opts_.steal_seed ^
@@ -105,38 +106,88 @@ double Context::effective_priority(const TaskClass& c,
   return c.priority(p);
 }
 
-void Context::enumerate_startup() {
+void Context::enumerate_frontier(std::vector<StartupTask>& frontier,
+                                 uint64_t& own) const {
+  frontier.clear();
+  own = 0;
   for (size_t ci = 0; ci < pool_.num_classes(); ++ci) {
     const TaskClass& c = pool_.cls(static_cast<int16_t>(ci));
     for (const Params& p : c.enumerate_rank(rank())) {
       MP_DCHECK(c.rank_of(p) == rank(),
                 "enumerate_rank returned instance not owned by this rank");
-      expected_.fetch_add(1, std::memory_order_relaxed);
+      ++own;
       if (c.num_task_inputs(p) == 0) {
-        make_ready(TaskKey{c.cls, p}, {}, /*worker_hint=*/-1);
+        frontier.push_back(StartupTask{TaskKey{c.cls, p},
+                                       effective_priority(c, p)});
       }
     }
   }
 }
 
+void Context::enumerate_startup() {
+  if (!frontier_ready_) {
+    enumerate_frontier(frontier_, own_instances_);
+    frontier_ready_ = true;
+  } else {
+#ifndef NDEBUG
+    // The cached frontier is only valid while enumerate_rank depends on
+    // the template alone (taskpool.h); a re-bind that moved an instance to
+    // another rank would silently lose or duplicate it.
+    std::vector<StartupTask> again;
+    uint64_t own = 0;
+    enumerate_frontier(again, own);
+    MP_DCHECK(own == own_instances_ && again == frontier_,
+              "enumerate_rank changed between submissions of one Context");
+#endif
+  }
+  expected_.fetch_add(own_instances_, std::memory_order_relaxed);
+  if (frontier_.empty()) return;
+  // startup_batch_ keeps its capacity from one submission to the next.
+  std::vector<ReadyTask>& ready = startup_batch_;
+  ready.resize(frontier_.size());
+  for (size_t i = 0; i < frontier_.size(); ++i) {
+    ready[i].key = frontier_[i].key;
+    ready[i].priority = frontier_[i].priority;
+  }
+  sched_->push_startup(std::move(ready));  // leaves it empty
+  wake_all();
+}
+
+bool Context::sleepers_waiting() {
+  // Dekker pairing with worker_loop: the pusher stores (queue length or
+  // done_) then reads sleepers_, the sleeper raises sleepers_ then reads
+  // the queue lengths and done_, each with a seq_cst fence in between. At
+  // least one side sees the other's write, so either the pusher notifies
+  // or the sleeper finds the work and does not block.
+#if defined(__SANITIZE_THREAD__)
+  // TSan builds reject standalone fences (see ChaseLevDeque); a seq_cst
+  // read-modify-write of the sleeper count orders the same two accesses.
+  return sleepers_.fetch_add(0, std::memory_order_seq_cst) != 0;
+#else
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return sleepers_.load(std::memory_order_relaxed) != 0;
+#endif
+}
+
 void Context::wake_one() {
-  // Taking wake_mu_ orders this notify against a worker's predicate check,
-  // closing the lost-wakeup window between its failed try_pop and its wait.
+  if (!sleepers_waiting()) return;
+  // Notifying under wake_mu_ orders this notify against a sleeper that has
+  // registered but not yet blocked: it holds the mutex until it waits.
   std::lock_guard lock(wake_mu_);
   wake_cv_.notify_one();
 }
 
 void Context::wake_all() {
+  if (!sleepers_waiting()) return;
   std::lock_guard lock(wake_mu_);
   wake_cv_.notify_all();
 }
 
 ReadyTask Context::build_task(const TaskKey& key,
-                              std::vector<DataBuf> inputs) {
+                              std::vector<DataBuf> inputs) const {
   ReadyTask t;
   t.key = key;
   t.inputs = std::move(inputs);
-  t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   t.priority = effective_priority(pool_.cls(key.cls), key.p);
   return t;
 }
@@ -169,6 +220,7 @@ void Context::deposit(const TaskKey& key, int slot, DataBuf buf,
       e.initialized = true;
       MP_REQUIRE(e.threshold > 0,
                  "deposit into a task class with no task inputs");
+      e.inputs.reserve(static_cast<size_t>(e.threshold));
     }
     if (e.inputs.size() <= static_cast<size_t>(slot)) {
       e.inputs.resize(static_cast<size_t>(slot) + 1);
@@ -184,7 +236,8 @@ void Context::deposit(const TaskKey& key, int slot, DataBuf buf,
     // The shard is a hand-off point: the depositing thread publishes the
     // buffer, the thread completing the threshold takes the whole set over.
     MP_ANNOTATE_CHANNEL_SEND(&shard);
-    progress_.fetch_add(1, std::memory_order_relaxed);
+    // A worker's deposits count as progress through its finished task.
+    if (!batch) progress_.fetch_add(1, std::memory_order_relaxed);
     if (++e.arrived < e.threshold) return;
     MP_ANNOTATE_CHANNEL_RECV(&shard);
     ready_inputs = std::move(e.inputs);
@@ -232,10 +285,13 @@ void Context::execute_task(ReadyTask t, int wid) {
 
   // Route outputs to consumers. Locally-completed activations are gathered
   // into one batch and published with a single push_batch onto this
-  // worker's own deque (one size/notify round trip for all siblings).
+  // worker's own deque (one size/notify round trip for all siblings). Both
+  // vectors are this worker's, reused from task to task.
+  WorkerState& ws = workers_[static_cast<size_t>(wid)];
   if (c.route_outputs) {
-    std::vector<ReadyTask> batch;
-    std::vector<OutRoute> routes;
+    std::vector<ReadyTask>& batch = ws.batch;
+    std::vector<OutRoute>& routes = ws.routes;
+    routes.clear();
     c.route_outputs(t.key.p, routes);
     for (const OutRoute& r : routes) {
       const TaskClass& cc = pool_.cls(r.consumer.cls);
@@ -271,7 +327,7 @@ void Context::execute_task(ReadyTask t, int wid) {
     }
     if (!batch.empty()) {
       const size_t n = batch.size();
-      sched_->push_batch(std::move(batch), wid);
+      sched_->push_batch(std::move(batch), wid);  // leaves `batch` empty
       // This worker keeps one task for itself (it pops its own bottom
       // next); any extra siblings are worth waking peers for.
       if (n > 1) {
@@ -283,7 +339,8 @@ void Context::execute_task(ReadyTask t, int wid) {
   }
 
   MP_ANNOTATE_TASK_END();
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  ws.progress.store(ws.progress.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
   if (t.origin >= 0 && t.origin != rank()) {
     // A migrated-in task: its completion belongs to the home rank's
     // termination count. Send a credit instead of counting it here.
@@ -303,8 +360,33 @@ void Context::execute_task(ReadyTask t, int wid) {
     st_credits_sent_.fetch_add(1, std::memory_order_release);
     return;
   }
-  executed_.fetch_add(1, std::memory_order_acq_rel);
+  ++ws.unpublished;  // published when this worker runs dry
+}
+
+void Context::publish_completions(int wid) {
+  WorkerState& ws = workers_[static_cast<size_t>(wid)];
+  if (ws.unpublished == 0) return;
+  // seq_cst, like the credit increment, so that of a worker publishing
+  // here and the comm thread counting a credit at least one sees the
+  // other's count in maybe_local_complete.
+  executed_.fetch_add(ws.unpublished, std::memory_order_seq_cst);
+  ws.unpublished = 0;
   maybe_local_complete();
+}
+
+uint64_t Context::total_progress() const {
+  uint64_t p = progress_.load(std::memory_order_relaxed);
+  for (const WorkerState& ws : workers_) {
+    p += ws.progress.load(std::memory_order_relaxed);
+  }
+  return p;
+}
+
+bool Context::any_worker_busy() const {
+  for (const WorkerState& ws : workers_) {
+    if (ws.busy.load(std::memory_order_relaxed)) return true;
+  }
+  return false;
 }
 
 void Context::post(vc::Message m) {
@@ -329,8 +411,12 @@ void Context::maybe_local_complete() {
   // equality at the *old* value must not be mistaken for completion twice —
   // the latch below plus the epoch reset in handle_confirmed_death handle
   // re-reporting.
-  if (executed_.load(std::memory_order_acquire) +
-          st_credits_received_.load(std::memory_order_acquire) <
+  // Workers publish their executed counts only when they run dry
+  // (publish_completions), so executed_ may trail the truth while work is
+  // still queued or running — but never once every worker has run dry,
+  // which completion requires; the last publisher then sees the full sum.
+  if (executed_.load(std::memory_order_seq_cst) +
+          st_credits_received_.load(std::memory_order_seq_cst) <
       expected_.load(std::memory_order_acquire)) {
     return;
   }
@@ -418,9 +504,7 @@ void Context::steal_agent_tick(std::chrono::steady_clock::time_point now_tp) {
     // late reply, should it still arrive, is absorbed normally.
     steal_outstanding_.store(0, std::memory_order_relaxed);
   }
-  if (sched_->size() > 0 ||
-      active_workers_.load(std::memory_order_relaxed) > 0 ||
-      now_tp < next_steal_at_) {
+  if (sched_->size() > 0 || any_worker_busy() || now_tp < next_steal_at_) {
     return;
   }
   // Victim selection: the best (largest) load hint heard so far, falling
@@ -557,13 +641,12 @@ void Context::absorb_steal_reply(const vc::Message& msg) {
       for (auto& x : t.key.p) x = r.get<int32_t>();
       t.priority = r.get<double>();
       t.origin = msg.src;
-      t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
       const auto nin = r.get<uint32_t>();
       t.inputs.resize(nin);
       for (uint32_t s = 0; s < nin; ++s) {
         if (r.get<uint8_t>() != 0) {
-          auto data = make_buf_pooled(0);
-          *data = r.get_doubles();
+          auto data = make_buf_for_overwrite(r.peek_doubles_count());
+          r.get_doubles_into(*data);
           t.inputs[s] = std::move(data);
         }
       }
@@ -902,7 +985,6 @@ void Context::handle_confirmed_death(int dead) {
     t.key = it->first;
     t.priority = it->second.priority;
     t.inputs = std::move(it->second.inputs);
-    t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     reinject.push_back(std::move(t));
     it = outstanding_migs_.erase(it);
   }
@@ -940,28 +1022,40 @@ void Context::handle_confirmed_death(int dead) {
 }
 
 void Context::worker_loop(int wid) {
+  WorkerState& ws = workers_[static_cast<size_t>(wid)];
   ReadyTask t;
   while (true) {
     if (!done_.load(std::memory_order_acquire) && sched_->try_pop(t, wid)) {
-      active_workers_.fetch_add(1, std::memory_order_relaxed);
+      ws.busy.store(true, std::memory_order_relaxed);
       try {
         execute_task(std::move(t), wid);
       } catch (...) {
-        active_workers_.fetch_sub(1, std::memory_order_relaxed);
+        ws.busy.store(false, std::memory_order_relaxed);
         record_error();
+        publish_completions(wid);
         return;
       }
-      active_workers_.fetch_sub(1, std::memory_order_relaxed);
+      ws.busy.store(false, std::memory_order_relaxed);
       continue;
     }
+    // Ran dry (or done): publish this worker's completions before sleeping
+    // or leaving, so every finished task is counted by the time all
+    // workers are idle.
+    publish_completions(wid);
     if (done_.load(std::memory_order_acquire)) return;
-    // Block until woken: every push and every done_ transition notifies
-    // while holding wake_mu_, so an idle runtime is fully quiescent (no
-    // periodic polling) and no wakeup can be lost.
+    // Block until woken: every push and every done_ transition that finds
+    // a sleeper registered notifies under wake_mu_ (sleepers_waiting), so
+    // an idle runtime is fully quiescent (no periodic polling) and no
+    // wakeup can be lost.
     std::unique_lock lock(wake_mu_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+#if !defined(__SANITIZE_THREAD__)
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
     wake_cv_.wait(lock, [&] {
       return done_.load(std::memory_order_acquire) || sched_->size() > 0;
     });
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -1059,7 +1153,7 @@ std::string Context::watchdog_dump() {
 
 void Context::comm_loop() {
   vc::Mailbox& mb = rctx_.mailbox();
-  uint64_t watchdog_progress = progress_.load(std::memory_order_relaxed);
+  uint64_t watchdog_progress = total_progress();
   auto watchdog_mark = std::chrono::steady_clock::now();
   if (failure_active()) {
     const auto start = std::chrono::steady_clock::now();
@@ -1143,10 +1237,11 @@ void Context::comm_loop() {
           for (auto& x : key.p) x = r.get<int32_t>();
           const int slot = r.get<int8_t>();
           // Pooled (annotated) buffer so the lifecycle checker tracks the
-          // received copy exactly like a locally-produced one; the move
-          // assignment also recycles the vector's allocation.
-          auto data = make_buf_pooled(0);
-          *data = r.get_doubles();
+          // received copy exactly like a locally-produced one. The payload
+          // is decoded straight into it: a recycled vector of the same
+          // length is neither reallocated nor zero-filled first.
+          auto data = make_buf_for_overwrite(r.peek_doubles_count());
+          r.get_doubles_into(*data);
           deposit(key, slot, std::move(data));
         } catch (...) {
           record_error();
@@ -1190,7 +1285,8 @@ void Context::comm_loop() {
           // The migrated task retired at its holder; release the retained
           // re-injection copy (failure runs only).
           outstanding_migs_.erase(key);
-          st_credits_received_.fetch_add(1, std::memory_order_release);
+          // seq_cst: pairs with publish_completions (maybe_local_complete).
+          st_credits_received_.fetch_add(1, std::memory_order_seq_cst);
           // A migrated task retired somewhere: real forward progress.
           progress_.fetch_add(1, std::memory_order_relaxed);
           maybe_local_complete();
@@ -1271,11 +1367,9 @@ void Context::comm_loop() {
     // hanging forever.
     if (opts_.watchdog_timeout_ms > 0.0 &&
         !done_.load(std::memory_order_acquire)) {
-      const uint64_t p = progress_.load(std::memory_order_relaxed);
+      const uint64_t p = total_progress();
       const auto now_tp = std::chrono::steady_clock::now();
-      if (p != watchdog_progress ||
-          active_workers_.load(std::memory_order_relaxed) > 0 ||
-          sched_->size() > 0) {
+      if (p != watchdog_progress || any_worker_busy() || sched_->size() > 0) {
         watchdog_progress = p;
         watchdog_mark = now_tp;
       } else if (std::chrono::duration<double, std::milli>(
@@ -1497,9 +1591,14 @@ void Context::reset_local_state(uint64_t submission) {
   // for the next submission's first acquire snapshot.
   expected_.store(0, std::memory_order_release);
   executed_.store(0, std::memory_order_release);
-  seq_.store(0, std::memory_order_relaxed);
   remote_sent_.store(0, std::memory_order_relaxed);
   progress_.store(0, std::memory_order_relaxed);
+  for (WorkerState& ws : workers_) {
+    ws.progress.store(0, std::memory_order_relaxed);
+    ws.busy.store(false, std::memory_order_relaxed);
+    ws.unpublished = 0;
+    ws.batch.clear();
+  }
   st_requests_sent_.store(0, std::memory_order_release);
   st_requests_received_.store(0, std::memory_order_release);
   st_replies_sent_.store(0, std::memory_order_release);

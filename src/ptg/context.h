@@ -347,7 +347,21 @@ class Context {
   };
   static constexpr int kShards = 16;
 
+  /// Push this submission's startup frontier and count the rank's own
+  /// instances into expected_. The frontier is enumerated on the first
+  /// submission only (enumerate_rank is a function of the template; debug
+  /// builds re-enumerate and compare).
   void enumerate_startup();
+  /// A startup-frontier entry: a zero-input own instance.
+  struct StartupTask {
+    TaskKey key;
+    double priority = 0.0;
+    friend bool operator==(const StartupTask&, const StartupTask&) = default;
+  };
+  /// Enumerates every own instance of this rank: the zero-input ones into
+  /// `frontier`, the total count into `own`.
+  void enumerate_frontier(std::vector<StartupTask>& frontier,
+                          uint64_t& own) const;
   /// One full submission: verify (if due), enumerate, execute, unwind.
   /// Shared by the one-shot and persistent paths; only thread management
   /// differs (spawn+join vs wake-parked+wait-parked).
@@ -447,10 +461,21 @@ class Context {
                       const DataBuf& buf);
   /// Effective watchdog deadline in ms, scaled by outstanding local work.
   double watchdog_deadline_ms() const;
-  /// Wake one / all workers. The wake mutex is taken while notifying so a
-  /// worker checking its wait predicate can never miss the signal.
+  /// Wake one / all workers after a push or a done_ transition. Only when
+  /// a worker sleeps is the wake mutex taken (and the notify issued under
+  /// it); the sleeper count is read behind a seq_cst fence that pairs with
+  /// the sleeper's own (DESIGN.md §6), so no wakeup is lost.
   void wake_one();
   void wake_all();
+  bool sleepers_waiting();
+  /// Worker `wid`: add its locally counted completions to executed_ in one
+  /// read-modify-write, then run the completion check. Called whenever the
+  /// worker runs dry, so completion is still decided exactly (DESIGN.md §6).
+  void publish_completions(int wid);
+  /// Watchdog progress: the comm thread's counter plus every worker's.
+  uint64_t total_progress() const;
+  /// Some worker is inside a task body or its routing.
+  bool any_worker_busy() const;
   /// Diagnostic snapshot for the watchdog's StateError (executed/expected
   /// counts, pending-deposit map sizes, queue depths).
   std::string watchdog_dump();
@@ -460,7 +485,7 @@ class Context {
   /// otherwise it is pushed immediately with hint -1 (comm thread).
   void deposit(const TaskKey& key, int slot, DataBuf buf,
                std::vector<ReadyTask>* batch = nullptr);
-  ReadyTask build_task(const TaskKey& key, std::vector<DataBuf> inputs);
+  ReadyTask build_task(const TaskKey& key, std::vector<DataBuf> inputs) const;
   void make_ready(const TaskKey& key, std::vector<DataBuf> inputs,
                   int worker_hint);
   void execute_task(ReadyTask t, int wid);
@@ -480,8 +505,10 @@ class Context {
   /// Own task instances plus instances adopted from dead ranks. Atomic:
   /// recovery (comm thread) grows it while workers compare against it.
   std::atomic<uint64_t> expected_{0};
+  /// Own tasks executed here, as published by the workers (see
+  /// publish_completions); a worker's not-yet-published count lives in its
+  /// WorkerState.
   std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> seq_{0};
   std::atomic<bool> done_{false};
   std::atomic<bool> ran_{false};
 
@@ -491,16 +518,37 @@ class Context {
 
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
+  /// Workers blocked (or about to block) on wake_cv_; changed under
+  /// wake_mu_, read without it by the wake calls.
+  std::atomic<int> sleepers_{0};
+
+  /// Per-worker runtime state. Only the owning worker writes it, so the
+  /// per-task path never writes a cache line another worker writes; the
+  /// comm thread's watchdog and steal agent read `progress` and `busy`.
+  struct alignas(64) WorkerState {
+    std::atomic<uint64_t> progress{0};  ///< tasks finished (watchdog)
+    std::atomic<bool> busy{false};      ///< inside execute_task
+    uint64_t unpublished = 0;  ///< own tasks done, not yet in executed_
+    std::vector<OutRoute> routes;   ///< route_outputs scratch, reused
+    std::vector<ReadyTask> batch;   ///< one task's local activations
+  };
+  std::vector<WorkerState> workers_;
+
+  /// The startup frontier, enumerated once per Context (enumerate_startup).
+  std::vector<StartupTask> frontier_;
+  uint64_t own_instances_ = 0;
+  bool frontier_ready_ = false;
+  std::vector<ReadyTask> startup_batch_;
 
   std::mutex out_mu_;
   std::deque<vc::Message> outbox_;
   std::atomic<uint64_t> remote_sent_{0};
   std::atomic<bool> comm_stop_{false};
 
-  // Progress tracking for the watchdog: bumped on every task execution,
-  // dependency deposit, outbound transfer and inbound message.
+  // Progress tracking for the watchdog, written by the comm thread only:
+  // bumped on every comm-thread deposit, outbound transfer and work-moving
+  // inbound message. Workers count their tasks in WorkerState::progress.
   std::atomic<uint64_t> progress_{0};
-  std::atomic<int> active_workers_{0};
 
   // -- inter-node stealing state --
   // Steal-protocol counters (see StealStats for the pairing discipline).

@@ -61,10 +61,13 @@ std::unique_lock<std::mutex> counted_lock(std::mutex& mu,
 /// `Cmp`. A worker pushes into and pops from its own heap, so the per-heap
 /// mutex is almost never contended; a worker whose heap is empty takes the
 /// top of the first non-empty peer heap it can lock without waiting (a
-/// steal). Pushes from non-worker threads (startup enumeration, comm-thread
-/// deposits, re-pushed harvests, migrated-in tasks) are dealt round-robin
-/// over the heaps. With a single worker there is a single heap, so the pop
-/// order is exactly that of one shared priority queue.
+/// steal). Pushes from non-worker threads (comm-thread deposits, re-pushed
+/// harvests, migrated-in tasks) are dealt round-robin over the heaps; the
+/// startup frontier is dealt by parameter tuple. No counter is shared by
+/// all heaps: each heap numbers its tasks (`seq`) and publishes its length
+/// under its own lock, and size() sums the lengths. With a single worker
+/// there is a single heap, so the pop order is exactly that of one shared
+/// priority queue.
 class WorkerHeapScheduler final : public Scheduler {
  public:
   WorkerHeapScheduler(Cmp cmp, int num_workers)
@@ -75,9 +78,8 @@ class WorkerHeapScheduler final : public Scheduler {
   void push(ReadyTask t, int worker) override {
     Heap& h = heaps_[home(worker)];
     auto lock = counted_lock(h.mu, contended_pushes_);
-    h.queue.push(std::move(t));
-    MP_ANNOTATE_CHANNEL_SEND(&h);
-    published(h, 1);
+    add(h, std::move(t));
+    published(h);
   }
 
   void push_batch(std::vector<ReadyTask>&& ts, int worker) override {
@@ -85,9 +87,8 @@ class WorkerHeapScheduler final : public Scheduler {
     if (worker >= 0) {
       Heap& h = heaps_[home(worker)];
       auto lock = counted_lock(h.mu, contended_pushes_);
-      for (auto& t : ts) h.queue.push(std::move(t));
-      MP_ANNOTATE_CHANNEL_SEND(&h);
-      published(h, ts.size());
+      for (auto& t : ts) add(h, std::move(t));
+      published(h);
     } else {
       // Deal task i to heap (start + i) % n, taking each heap's lock once.
       const size_t n = heaps_.size();
@@ -95,20 +96,36 @@ class WorkerHeapScheduler final : public Scheduler {
       for (size_t k = 0; k < std::min(n, ts.size()); ++k) {
         Heap& h = heaps_[(start + k) % n];
         auto lock = counted_lock(h.mu, contended_pushes_);
-        size_t pushed = 0;
-        for (size_t i = k; i < ts.size(); i += n, ++pushed) {
-          h.queue.push(std::move(ts[i]));
-        }
-        MP_ANNOTATE_CHANNEL_SEND(&h);
-        published(h, pushed);
+        for (size_t i = k; i < ts.size(); i += n) add(h, std::move(ts[i]));
+        published(h);
       }
     }
     ts.clear();
   }
 
+  void push_startup(std::vector<ReadyTask>&& ts) override {
+    const size_t n = heaps_.size();
+    if (n == 1) {
+      push_batch(std::move(ts), 0);
+      return;
+    }
+    // Deal by parameter tuple: READ_A(l1, l2) and READ_B(l1, l2) land in
+    // one heap, so one worker usually runs both and activates their GEMM
+    // in its own heap, with both operands still in its cache. One pass per
+    // heap rather than per-heap staging vectors: those transient buffers
+    // measurably raised peak RSS (malloc fragmentation across arenas).
+    for (size_t k = 0; k < n; ++k) {
+      Heap& h = heaps_[k];
+      auto lock = counted_lock(h.mu, contended_pushes_);
+      for (auto& t : ts) {
+        if (params_hash(t.key.p) % n == k) add(h, std::move(t));
+      }
+      published(h);
+    }
+    ts.clear();
+  }
+
   bool try_pop(ReadyTask& out, int worker) override {
-    // The counter gives a lock-free empty fast path for idle polling.
-    if (size_.load(std::memory_order_acquire) == 0) return false;
     const size_t n = heaps_.size();
     if (worker < 0) {
       // Non-worker callers (the comm thread's harvest for inter-node
@@ -139,7 +156,11 @@ class WorkerHeapScheduler final : public Scheduler {
   }
 
   size_t size() const override {
-    return size_.load(std::memory_order_acquire);
+    size_t total = 0;
+    for (const Heap& h : heaps_) {
+      total += h.count.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
   uint64_t steals() const override {
@@ -166,12 +187,22 @@ class WorkerHeapScheduler final : public Scheduler {
   struct Heap {
     std::mutex mu;
     Queue queue;
+    /// Next insertion number; guarded by `mu`.
+    uint64_t next_seq = 0;
     /// `queue.size()`, stored under `mu` (a plain store, not a
-    /// read-modify-write); read without it only as a hint to skip empty
-    /// heaps.
+    /// read-modify-write); read without it by size() and by thieves
+    /// skipping empty heaps.
     std::atomic<size_t> count{0};
     char pad[64];
   };
+
+  static size_t params_hash(const Params& p) {
+    uint64_t h = 0;
+    for (int32_t x : p) {
+      h = (h ^ static_cast<uint32_t>(x)) * 0x9e3779b97f4a7c15ULL;
+    }
+    return static_cast<size_t>(h >> 32);
+  }
 
   /// The heap a push or pop by `worker` uses. Worker ids are below the
   /// heap count in practice, so the common case avoids a division.
@@ -184,11 +215,16 @@ class WorkerHeapScheduler final : public Scheduler {
     return n == 1 ? 0 : rr_.fetch_add(1, std::memory_order_relaxed) % n;
   }
 
-  /// Called with `h.mu` held, so a task's size_ increment always precedes
-  /// the decrement of whichever pop takes it and size_ never underflows.
-  void published(Heap& h, size_t k) {
+  /// Called with `h.mu` held: numbers `t` in this heap's insertion order.
+  static void add(Heap& h, ReadyTask&& t) {
+    t.seq = h.next_seq++;
+    h.queue.push(std::move(t));
+  }
+
+  /// Called with `h.mu` held after adding tasks.
+  static void published(Heap& h) {
+    MP_ANNOTATE_CHANNEL_SEND(&h);
     h.count.store(h.queue.size(), std::memory_order_relaxed);
-    size_.fetch_add(k, std::memory_order_release);
   }
 
   bool pop_from(Heap& h, ReadyTask& out) {
@@ -198,18 +234,16 @@ class WorkerHeapScheduler final : public Scheduler {
   }
 
   /// Called with `h.mu` held.
-  bool take_top(Heap& h, ReadyTask& out) {
+  static bool take_top(Heap& h, ReadyTask& out) {
     if (h.queue.empty()) return false;
     out = pop_top(h.queue);
     MP_ANNOTATE_CHANNEL_RECV(&h);
     h.count.store(h.queue.size(), std::memory_order_relaxed);
-    size_.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
 
   std::vector<Heap> heaps_;
   std::atomic<size_t> rr_{0};  ///< round-robin cursor for worker == -1
-  std::atomic<size_t> size_{0};
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> steal_attempts_{0};
   std::atomic<uint64_t> contended_pushes_{0};
@@ -423,6 +457,7 @@ class StealingScheduler final : public Scheduler {
       delete owned;
     }
     auto lock = counted_lock(inj_mu_, contended_pushes_);
+    t.seq = inj_seq_++;
     injection_.push(std::move(t));
     MP_ANNOTATE_CHANNEL_SEND(&injection_);
   }
@@ -437,6 +472,7 @@ class StealingScheduler final : public Scheduler {
   std::vector<std::unique_ptr<ChaseLevDeque>> deques_;
   mutable std::mutex inj_mu_;
   Queue injection_;
+  uint64_t inj_seq_ = 0;  ///< injection insertion order; guarded by inj_mu_
   std::atomic<size_t> size_{0};
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> steal_attempts_{0};

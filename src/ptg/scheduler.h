@@ -9,9 +9,10 @@
 // These three share one implementation: a priority heap per worker, each
 // behind its own mutex. A worker pushes the successors it activates into
 // its own heap and pops its own top; when its heap is empty it takes the
-// top of a peer's heap (a steal). Pushes from non-worker threads (startup
-// enumeration, comm-thread deposits, migrated-in tasks) are dealt
-// round-robin over the heaps. Ordering therefore holds per heap: with one
+// top of a peer's heap (a steal). Pushes from non-worker threads
+// (comm-thread deposits, migrated-in tasks) are dealt round-robin over the
+// heaps, and the startup frontier by parameter tuple. Ordering therefore
+// holds per heap: with one
 // worker there is one heap and the order is exact; with several, each
 // worker runs its own heap's best task and priorities balance only through
 // the round-robin deal and the steals. Per-worker heaps keep the workers
@@ -38,7 +39,10 @@ namespace mp::ptg {
 
 struct ReadyTask {
   double priority = 0.0;
-  uint64_t seq = 0;  ///< global insertion order, for deterministic ties
+  /// Insertion order within the queue that holds the task, for
+  /// deterministic ties. Assigned by the scheduler on push (under that
+  /// queue's lock); any value the caller sets is overwritten.
+  uint64_t seq = 0;
   /// Home rank of a task migrated here by inter-node stealing; -1 for a
   /// locally-owned task. The executor credits the origin rank instead of
   /// counting the completion locally (see Context).
@@ -94,6 +98,15 @@ class Scheduler {
     ts.clear();
   }
 
+  /// Enqueue a submission's startup frontier, pushed by the submitting
+  /// thread. The per-worker heaps deal it by parameter tuple, so instances
+  /// of different classes with equal parameters (READ_A and READ_B feeding
+  /// one GEMM) share a heap, and lock each heap once. kStealing puts it in
+  /// its injection queue: a Chase-Lev deque takes owner pushes only.
+  virtual void push_startup(std::vector<ReadyTask>&& ts) {
+    push_batch(std::move(ts), -1);
+  }
+
   /// Dequeue the best task for `worker` (its own queue first, then a
   /// peer's); false if none available anywhere. `worker` = -1 scans every
   /// queue.
@@ -113,9 +126,9 @@ class Scheduler {
     return n;
   }
 
-  /// Approximate number of queued tasks, O(1): a relaxed atomic counter
-  /// maintained on push/pop, never a sweep over shard locks. Exact once
-  /// the queues are quiescent.
+  /// Approximate number of queued tasks, without taking a lock: the sum of
+  /// the per-heap lengths (kStealing: one atomic counter). Exact once the
+  /// queues are quiescent.
   virtual size_t size() const = 0;
 
   /// Number of tasks a worker took from a peer's heap or deque.

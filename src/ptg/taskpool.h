@@ -87,6 +87,14 @@ struct TaskClass {
   /// All instances of this class owned by `rank`. Used to compute the
   /// per-rank task count for termination detection and to seed startup
   /// tasks. Required.
+  ///
+  /// Must be a function of the template alone — of the graph's structure
+  /// and placement, never of data that changes between submissions (the
+  /// contents of a re-bound store). A persistent Context enumerates its
+  /// startup frontier, and the priorities and input counts of its
+  /// instances, once, on its first run(), and reuses them for every later
+  /// submission; debug builds re-enumerate on each run and abort on a
+  /// difference.
   std::function<std::vector<Params>(int rank)> enumerate_rank;
 
   /// The task body. Required.

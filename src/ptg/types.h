@@ -91,6 +91,27 @@ inline BufPool& tls_pool() {
   return pool;
 }
 
+/// Hands out `v` as a DataBuf whose deleter returns it to the releasing
+/// thread's pool. Lifecycle tracking happens at the pool boundary, not the
+/// heap boundary: a recycled handout is a *new* object to the checker, so
+/// a stale reference to the previous incarnation at the same address is
+/// reported as use-after-release — the exact bug class address-based tools
+/// (TSan, ASan) lose once the pool recycles storage.
+inline DataBuf wrap_pooled(std::vector<double>* v) {
+  MP_ANNOTATE_BUF_CREATE(v);
+  return DataBuf(v, [](std::vector<double>* p) {
+    MP_ANNOTATE_BUF_DESTROY(p);
+    if (tls_pool_alive) {
+      auto& pool = tls_pool();
+      if (pool.free.size() < BufPool::kMaxCached) {
+        pool.free.push_back(p);
+        return;
+      }
+    }
+    delete p;
+  });
+}
+
 }  // namespace pool_detail
 
 /// Like make_buf, but recycles the underlying vector through a thread-local
@@ -108,23 +129,37 @@ inline DataBuf make_buf_pooled(size_t n, double fill = 0.0) {
   } else {
     v = new std::vector<double>(n, fill);
   }
-  // Lifecycle tracking happens at the pool boundary, not the heap boundary:
-  // a recycled handout is a *new* object to the checker, so a stale
-  // reference to the previous incarnation at the same address is reported
-  // as use-after-release — the exact bug class address-based tools (TSan,
-  // ASan) lose once the pool recycles storage.
-  MP_ANNOTATE_BUF_CREATE(v);
-  return DataBuf(v, [](std::vector<double>* p) {
-    MP_ANNOTATE_BUF_DESTROY(p);
-    if (pool_detail::tls_pool_alive) {
-      auto& pool = pool_detail::tls_pool();
-      if (pool.free.size() < pool_detail::BufPool::kMaxCached) {
-        pool.free.push_back(p);
-        return;
+  return pool_detail::wrap_pooled(v);
+}
+
+/// Like make_buf_pooled, for a buffer the caller overwrites in full before
+/// anyone reads it (a GA fetch, a beta = 0 GEMM, a SORT target, a decoded
+/// payload): the contents are unspecified. A recycled vector of exactly `n`
+/// elements is preferred, so the common steady state neither reallocates
+/// nor fills; otherwise the newest one is resized, which zero-fills only a
+/// grown tail.
+inline DataBuf make_buf_for_overwrite(size_t n) {
+  auto& cached = pool_detail::tls_pool().free;
+  std::vector<double>* v;
+  if (!cached.empty()) {
+    // Look a few entries deep: bodies of one class ask for one size, and
+    // the newest entries are the ones still in cache.
+    size_t pick = cached.size() - 1;
+    const size_t stop = cached.size() > 8 ? cached.size() - 8 : 0;
+    for (size_t i = cached.size(); i-- > stop;) {
+      if (cached[i]->size() == n) {
+        pick = i;
+        break;
       }
     }
-    delete p;
-  });
+    v = cached[pick];
+    cached[pick] = cached.back();
+    cached.pop_back();
+    v->resize(n);
+  } else {
+    v = new std::vector<double>(n);
+  }
+  return pool_detail::wrap_pooled(v);
 }
 
 /// One routed output edge: after the producer runs, its output buffer in

@@ -98,7 +98,8 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
           (*st)[static_cast<size_t>(is_a ? ch.a_store : ch.b_store)];
       const size_t elems = is_a ? static_cast<size_t>(g.m) * g.k
                                 : static_cast<size_t>(g.n) * g.k;
-      auto buf = ptg::make_buf_pooled(elems);
+      // get_hash_block writes every element: no zero fill needed.
+      auto buf = ptg::make_buf_for_overwrite(elems);
       ga::get_hash_block(*ts.ga, ts.shape->index(),
                          is_a ? g.a_key : g.b_key, buf->data());
       t.set_output(0, std::move(buf));
@@ -155,14 +156,17 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
       const GemmOp& g = ch.gemms[static_cast<size_t>(t.params()[1])];
       const DataBuf& a = t.input(0);
       const DataBuf& b = t.input(1);
-      DataBuf cbuf = parallel
-                         ? ptg::make_buf_pooled(static_cast<size_t>(ch.c_elems()))
-                         : t.take_input(2);
+      // A parallel GEMM writes a fresh partial C with beta = 0, which never
+      // reads C; a serial one accumulates into the chain's C.
+      DataBuf cbuf = parallel ? ptg::make_buf_for_overwrite(
+                                    static_cast<size_t>(ch.c_elems()))
+                              : t.take_input(2);
       linalg::dgemm(g.transa, g.transb, static_cast<size_t>(g.m),
                     static_cast<size_t>(g.n), static_cast<size_t>(g.k),
                     g.alpha, a->data(), static_cast<size_t>(g.lda()),
-                    b->data(), static_cast<size_t>(g.ldb()), 1.0,
-                    cbuf->data(), static_cast<size_t>(g.m));
+                    b->data(), static_cast<size_t>(g.ldb()),
+                    parallel ? 0.0 : 1.0, cbuf->data(),
+                    static_cast<size_t>(g.m));
       t.set_output(0, std::move(cbuf));
     };
     b.ids.gemm = pool.add_class(std::move(c));
@@ -224,12 +228,16 @@ PtgBuild build_ptg(const ChainPlan& plan, const StoreList& stores,
     c.body = [pl, psorts](TaskCtx& t) {
       const Chain& ch = pl->chains[static_cast<size_t>(t.params()[0])];
       const DataBuf& cin = t.input(0);
-      auto out = ptg::make_buf_pooled(cin->size());
+      DataBuf out;
       if (psorts) {
+        // sort_4 writes every element of its target; sort_4_acc (below)
+        // accumulates and needs the zeroed buffer.
         const SortOp& so = ch.sorts[static_cast<size_t>(t.params()[1])];
+        out = ptg::make_buf_for_overwrite(cin->size());
         linalg::sort_4(cin->data(), out->data(), ch.c_dims, so.perm,
                        so.factor);
       } else {
+        out = ptg::make_buf_pooled(cin->size());
         // One task, all guarded sorts accumulated into a master Csorted
         // (Fig. 5): valid because every fired guard targets the same
         // canonical block.

@@ -69,14 +69,30 @@ class WireReader {
     return v;
   }
 
-  std::vector<double> get_doubles() {
-    const uint64_t n = get<uint64_t>();
-    MP_REQUIRE(pos_ + n * sizeof(double) <= size_,
+  /// Element count of the put_doubles array at the read position, without
+  /// consuming it: lets the caller size a destination for get_doubles_into.
+  /// Checked against the payload, so a corrupt count never reaches an
+  /// allocation.
+  size_t peek_doubles_count() const {
+    MP_REQUIRE(pos_ + sizeof(uint64_t) <= size_,
+               "WireReader: truncated message");
+    uint64_t n;
+    std::memcpy(&n, data_ + pos_, sizeof(n));
+    MP_REQUIRE(n <= (size_ - pos_ - sizeof(uint64_t)) / sizeof(double),
                "WireReader: truncated double array");
-    std::vector<double> out(n);
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
+    return static_cast<size_t>(n);
+  }
+
+  /// Decodes a put_doubles array straight into `out` — no temporary, and
+  /// `out` keeps its storage. `out` is resized to the array's length (a
+  /// destination of that size already neither reallocates nor fills) and
+  /// every element overwritten.
+  void get_doubles_into(std::vector<double>& out) {
+    const size_t n = peek_doubles_count();
+    pos_ += sizeof(uint64_t);
+    out.resize(n);
+    if (n > 0) std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
-    return out;
   }
 
   bool exhausted() const { return pos_ == size_; }

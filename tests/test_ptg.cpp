@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -424,6 +425,99 @@ TEST(Scheduler, SizeIsExactAtQuiescence) {
     EXPECT_EQ(s->size(), 0u);
     EXPECT_EQ(s->stats().validate(), "");
   }
+}
+
+// With one worker there is one heap, and the heap numbers tasks in push
+// order whoever pushes them: worker and non-worker pushes, single and
+// batched, and the startup frontier interleave into exact FIFO / LIFO
+// order. Any seq the caller set is overwritten.
+TEST(Scheduler, OneWorkerOrderIsPushOrderAcrossMixedPushes) {
+  for (auto policy : {SchedPolicy::kFifo, SchedPolicy::kLifo,
+                      SchedPolicy::kPriority}) {
+    SCOPED_TRACE(to_string(policy));
+    auto s = Scheduler::create(policy, 1);
+    int id = 0;
+    auto task = [&id] {
+      ReadyTask t = heap_task(id++);
+      t.seq = 1000 - static_cast<uint64_t>(id);  // deliberately reversed
+      return t;
+    };
+    std::vector<ReadyTask> startup;
+    for (int i = 0; i < 3; ++i) startup.push_back(task());
+    s->push_startup(std::move(startup));
+    for (int round = 0; round < 3; ++round) {
+      s->push(task(), 0);
+      s->push(task(), -1);
+      std::vector<ReadyTask> mine, theirs;
+      for (int i = 0; i < 2; ++i) mine.push_back(task());
+      s->push_batch(std::move(mine), 0);
+      for (int i = 0; i < 3; ++i) theirs.push_back(task());
+      s->push_batch(std::move(theirs), -1);
+    }
+    std::vector<int> got;
+    ReadyTask out;
+    while (s->try_pop(out, 0)) got.push_back(out.key.p[0]);
+    std::vector<int> want(static_cast<size_t>(id));
+    for (int i = 0; i < id; ++i) want[static_cast<size_t>(i)] = i;
+    if (policy == SchedPolicy::kLifo) std::reverse(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
+}
+
+// The startup frontier is dealt by parameter tuple: tasks of different
+// classes with equal parameters share a heap, and every task lands once.
+TEST(Scheduler, StartupDealKeepsEqualParametersTogether) {
+  constexpr int kWorkers = 3, kPairs = 30;
+  auto s = Scheduler::create(SchedPolicy::kPriority, kWorkers);
+  std::vector<ReadyTask> startup;
+  for (int16_t cls = 0; cls < 2; ++cls) {
+    for (int i = 0; i < kPairs; ++i) {
+      ReadyTask t;
+      t.key = TaskKey{cls, params_of(i / 5, i % 5)};
+      startup.push_back(std::move(t));
+    }
+  }
+  s->push_startup(std::move(startup));
+  EXPECT_EQ(s->size(), 2u * kPairs);
+  std::map<Params, int> heap_of;
+  std::vector<int> per_heap(kWorkers, 0);
+  int stolen = 0;
+  ReadyTask out;
+  for (int w = 0; w < kWorkers; ++w) {
+    // Worker w pops its own heap until its first steal, which proves heap
+    // w empty; the stolen task's heap is not known, so it is only counted.
+    const uint64_t steals_before = s->steals();
+    while (s->try_pop(out, w)) {
+      if (s->steals() != steals_before) {
+        ++stolen;
+        break;
+      }
+      auto [it, fresh] = heap_of.emplace(out.key.p, w);
+      EXPECT_EQ(it->second, w) << "pair split across heaps";
+      ++per_heap[static_cast<size_t>(w)];
+    }
+  }
+  EXPECT_EQ(per_heap[0] + per_heap[1] + per_heap[2] + stolen, 2 * kPairs);
+  EXPECT_LT(stolen, kWorkers);
+  for (int n : per_heap) EXPECT_GT(n, 0) << "a heap got no work";
+}
+
+TEST(DataBufPool, OverwriteBufferPrefersARecycledVectorOfTheSameSize) {
+  DataBuf a = make_buf_pooled(5, 1.0);
+  DataBuf b = make_buf_pooled(9, 2.0);
+  const double* five = a->data();
+  a.reset();
+  b.reset();  // both back in this thread's pool, the size-9 one on top
+  DataBuf c = make_buf_for_overwrite(5);
+  EXPECT_EQ(c->size(), 5u);
+  EXPECT_EQ(c->data(), five) << "the size-5 vector should be reused as is";
+  EXPECT_EQ((*c)[4], 1.0) << "contents are left as they were";
+  DataBuf d = make_buf_for_overwrite(3);
+  EXPECT_EQ(d->size(), 3u);
+  // make_buf_pooled still zero-fills whatever it recycles.
+  d.reset();
+  DataBuf e = make_buf_pooled(3);
+  EXPECT_EQ(*e, std::vector<double>(3, 0.0));
 }
 
 TEST(Scheduler, PolicyNames) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -34,9 +35,34 @@ TEST(Wire, DoubleArrayRoundTrip) {
   WireWriter w;
   std::vector<double> xs{1.0, -2.0, 0.25};
   w.put_doubles(xs.data(), xs.size());
+  w.put_doubles(xs.data(), 2);
   const Payload p = w.take();
   WireReader r(p);
-  EXPECT_EQ(r.get_doubles(), xs);
+  EXPECT_EQ(r.peek_doubles_count(), 3u);
+  EXPECT_EQ(r.peek_doubles_count(), 3u) << "peeking consumes nothing";
+  // A destination of the right size keeps its storage.
+  std::vector<double> out(3, std::numeric_limits<double>::quiet_NaN());
+  const double* storage = out.data();
+  r.get_doubles_into(out);
+  EXPECT_EQ(out, xs);
+  EXPECT_EQ(out.data(), storage);
+  // Any other size is resized to the array's length.
+  EXPECT_EQ(r.peek_doubles_count(), 2u);
+  r.get_doubles_into(out);
+  EXPECT_EQ(out, (std::vector<double>{1.0, -2.0}));
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Wire, DoubleArrayLongerThanThePayloadThrowsBeforeAllocating) {
+  WireWriter w;
+  w.put<uint64_t>(uint64_t{1} << 60);  // a count no payload can hold
+  w.put<double>(1.0);
+  const Payload p = w.take();
+  WireReader r(p);
+  EXPECT_THROW(r.peek_doubles_count(), InvalidArgument);
+  std::vector<double> out;
+  EXPECT_THROW(r.get_doubles_into(out), InvalidArgument);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Wire, TruncatedMessageThrows) {
