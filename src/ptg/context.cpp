@@ -70,6 +70,7 @@ FailureStats Context::failure_stats() const {
   s.tasks_adopted = fs_tasks_adopted_.load(std::memory_order_acquire);
   s.lineage_replayed = fs_lineage_replayed_.load(std::memory_order_acquire);
   s.tasks_reinjected = fs_tasks_reinjected_.load(std::memory_order_acquire);
+  s.fallback_deposits = fs_fallback_deposits_.load(std::memory_order_acquire);
   s.suspicions_cleared =
       fs_suspicions_cleared_.load(std::memory_order_acquire);
   s.deaths_confirmed = fs_deaths_confirmed_.load(std::memory_order_acquire);
@@ -98,6 +99,33 @@ bool env_verify_enabled() {
   return e != nullptr && *e != '\0' && std::string(e) != "0";
 }
 
+/// "CLASS(p0,p1,p2)", for diagnostics.
+std::string key_name(const Taskpool& pool, const TaskKey& key) {
+  std::string s = pool.cls(key.cls).name + "(";
+  for (size_t i = 0; i < key.p.size(); ++i) {
+    if (i > 0) s += ',';
+    s += std::to_string(key.p[i]);
+  }
+  return s + ")";
+}
+
+/// A route names an input slot the consumer does not have (MPV005, caught
+/// at run time): fail at the deposit, not later inside the consumer's body.
+[[noreturn]] void throw_bad_slot(const Taskpool& pool, const TaskKey& key,
+                                 int slot, int threshold) {
+  throw InvalidArgument("deposit into input slot " + std::to_string(slot) +
+                        " of " + key_name(pool, key) + ", which has " +
+                        std::to_string(threshold) +
+                        " task input(s) (MPV005)");
+}
+
+[[noreturn]] void throw_double_deposit(const Taskpool& pool,
+                                       const TaskKey& key, int slot) {
+  throw InvalidArgument("double deposit into the same input slot (slot " +
+                        std::to_string(slot) + " of " + key_name(pool, key) +
+                        ")");
+}
+
 }  // namespace
 
 double Context::effective_priority(const TaskClass& c,
@@ -107,7 +135,7 @@ double Context::effective_priority(const TaskClass& c,
 }
 
 void Context::enumerate_frontier(std::vector<StartupTask>& frontier,
-                                 uint64_t& own) const {
+                                 DepTable& table, uint64_t& own) const {
   frontier.clear();
   own = 0;
   for (size_t ci = 0; ci < pool_.num_classes(); ++ci) {
@@ -116,9 +144,12 @@ void Context::enumerate_frontier(std::vector<StartupTask>& frontier,
       MP_DCHECK(c.rank_of(p) == rank(),
                 "enumerate_rank returned instance not owned by this rank");
       ++own;
-      if (c.num_task_inputs(p) == 0) {
+      const int inputs = c.num_task_inputs(p);
+      if (inputs == 0) {
         frontier.push_back(StartupTask{TaskKey{c.cls, p},
                                        effective_priority(c, p)});
+      } else {
+        table.add(TaskKey{c.cls, p}, inputs, effective_priority(c, p));
       }
     }
   }
@@ -126,17 +157,20 @@ void Context::enumerate_frontier(std::vector<StartupTask>& frontier,
 
 void Context::enumerate_startup() {
   if (!frontier_ready_) {
-    enumerate_frontier(frontier_, own_instances_);
+    enumerate_frontier(frontier_, deps_, own_instances_);
+    deps_.seal();
     frontier_ready_ = true;
   } else {
 #ifndef NDEBUG
-    // The cached frontier is only valid while enumerate_rank depends on
-    // the template alone (taskpool.h); a re-bind that moved an instance to
-    // another rank would silently lose or duplicate it.
+    // The cached frontier and table are only valid while enumerate_rank
+    // depends on the template alone (taskpool.h); a re-bind that moved an
+    // instance to another rank would silently lose or duplicate it.
     std::vector<StartupTask> again;
+    DepTable rows;
     uint64_t own = 0;
-    enumerate_frontier(again, own);
-    MP_DCHECK(own == own_instances_ && again == frontier_,
+    enumerate_frontier(again, rows, own);
+    MP_DCHECK(own == own_instances_ && again == frontier_ &&
+                  rows.same_rows(deps_),
               "enumerate_rank changed between submissions of one Context");
 #endif
   }
@@ -200,49 +234,87 @@ void Context::make_ready(const TaskKey& key, std::vector<DataBuf> inputs,
 
 void Context::deposit(const TaskKey& key, int slot, DataBuf buf,
                       std::vector<ReadyTask>* batch) {
-  MP_REQUIRE(slot >= 0 && slot < 128, "deposit: bad input slot");
-  const bool ft = failure_active();
-  Shard& shard = shards_[TaskKeyHash{}(key) % kShards];
-  std::vector<DataBuf> ready_inputs;
-  {
-    std::lock_guard lock(shard.mu);
+  const int32_t r = deps_.find(key);
+  if (r < 0) {
+    deposit_fallback(key, slot, std::move(buf), batch);
+    return;
+  }
+  const DepTable::Row& row = deps_.row(r);
+  if (static_cast<uint32_t>(slot) >= static_cast<uint32_t>(row.threshold)) {
+    throw_bad_slot(pool_, key, slot, row.threshold);
+  }
+  if (!deps_.claim(r, slot)) {
     // Recovery re-executes whole chains, so a replayed activation can race
     // (or trail) the original delivery. With the failure machinery on,
-    // deposits are idempotent: a second copy — for an already-activated key
-    // or an already-filled slot — is dropped and counted, not fatal.
-    if (ft && shard.activated.count(key) != 0) {
+    // deposits are idempotent: a second claim of a slot — of a row still
+    // filling or already activated — is dropped and counted, not fatal.
+    if (failure_active()) {
       fs_dup_deposits_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Pending& e = shard.map[key];
-    if (!e.initialized) {
-      e.threshold = pool_.cls(key.cls).num_task_inputs(key.p);
-      e.initialized = true;
-      MP_REQUIRE(e.threshold > 0,
-                 "deposit into a task class with no task inputs");
-      e.inputs.reserve(static_cast<size_t>(e.threshold));
+    throw_double_deposit(pool_, key, slot);
+  }
+  deps_.slots(r)[slot] = std::move(buf);
+  // The row is a hand-off point: each depositor publishes its buffer with
+  // its arrival, the thread completing the count takes the whole set over.
+  MP_ANNOTATE_CHANNEL_SEND(&row);
+  // A worker's deposits count as progress through its finished task.
+  if (!batch) progress_.fetch_add(1, std::memory_order_relaxed);
+  if (!deps_.arrive(r)) return;
+  MP_ANNOTATE_CHANNEL_RECV(&row);
+  ReadyTask t;
+  t.key = key;
+  t.priority = row.priority;
+  t.row = r;
+  if (batch) {
+    batch->push_back(std::move(t));
+  } else {
+    sched_->push(std::move(t), /*worker=*/-1);
+    wake_one();
+  }
+}
+
+void Context::deposit_fallback(const TaskKey& key, int slot, DataBuf buf,
+                               std::vector<ReadyTask>* batch) {
+  const bool ft = failure_active();
+  fs_fallback_deposits_.fetch_add(1, std::memory_order_release);
+  std::vector<DataBuf> ready_inputs;
+  {
+    std::lock_guard lock(fallback_mu_);
+    auto it = fallback_.find(key);
+    const int threshold = it != fallback_.end()
+                              ? it->second.threshold
+                              : pool_.cls(key.cls).num_task_inputs(key.p);
+    MP_REQUIRE(threshold > 0, "deposit into a task class with no task inputs");
+    if (static_cast<uint32_t>(slot) >= static_cast<uint32_t>(threshold)) {
+      throw_bad_slot(pool_, key, slot, threshold);
     }
-    if (e.inputs.size() <= static_cast<size_t>(slot)) {
-      e.inputs.resize(static_cast<size_t>(slot) + 1);
+    if (it == fallback_.end()) {
+      it = fallback_.emplace(key, Pending{}).first;
+      it->second.threshold = threshold;
+      it->second.inputs.resize(static_cast<size_t>(threshold));
     }
-    if (e.inputs[static_cast<size_t>(slot)] != nullptr) {
+    Pending& e = it->second;
+    // Same idempotence rule as a table row; an activated entry stays in
+    // the map (failure runs only) so that a late replay is dropped.
+    if (e.activated || e.inputs[static_cast<size_t>(slot)] != nullptr) {
       if (ft) {
         fs_dup_deposits_dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      MP_REQUIRE(false, "double deposit into the same input slot");
+      throw_double_deposit(pool_, key, slot);
     }
     e.inputs[static_cast<size_t>(slot)] = std::move(buf);
-    // The shard is a hand-off point: the depositing thread publishes the
-    // buffer, the thread completing the threshold takes the whole set over.
-    MP_ANNOTATE_CHANNEL_SEND(&shard);
-    // A worker's deposits count as progress through its finished task.
+    MP_ANNOTATE_CHANNEL_SEND(&e);
     if (!batch) progress_.fetch_add(1, std::memory_order_relaxed);
     if (++e.arrived < e.threshold) return;
-    MP_ANNOTATE_CHANNEL_RECV(&shard);
+    MP_ANNOTATE_CHANNEL_RECV(&e);
     ready_inputs = std::move(e.inputs);
-    shard.map.erase(key);
-    if (ft) shard.activated.insert(key);
+    if (ft) {
+      e.activated = true;
+    } else {
+      fallback_.erase(it);
+    }
   }
   if (ft) {
     // A completed key homed on another rank reached us through recovery
@@ -267,7 +339,16 @@ void Context::deposit(const TaskKey& key, int slot, DataBuf buf,
 
 void Context::execute_task(ReadyTask t, int wid) {
   const TaskClass& c = pool_.cls(t.key.cls);
-  TaskCtx tctx(this, t.key, std::move(t.inputs), wid);
+  WorkerState& ws = workers_[static_cast<size_t>(wid)];
+  // Inputs are read in place: from the task's table row, or from its own
+  // vector (startup, adopted and migrated-in tasks).
+  DataBuf* inputs = t.inputs.data();
+  size_t num_inputs = t.inputs.size();
+  if (t.row >= 0) {
+    inputs = deps_.slots(t.row);
+    num_inputs = static_cast<size_t>(deps_.row(t.row).threshold);
+  }
+  TaskCtx tctx(this, t.key, inputs, num_inputs, &ws.outputs, wid);
 
   MP_ANNOTATE_TASK_BEGIN(c.name.c_str(), t.key.p.data(), 3);
   for (const DataBuf& in : tctx.inputs_view()) {
@@ -287,7 +368,6 @@ void Context::execute_task(ReadyTask t, int wid) {
   // into one batch and published with a single push_batch onto this
   // worker's own deque (one size/notify round trip for all siblings). Both
   // vectors are this worker's, reused from task to task.
-  WorkerState& ws = workers_[static_cast<size_t>(wid)];
   if (c.route_outputs) {
     std::vector<ReadyTask>& batch = ws.batch;
     std::vector<OutRoute>& routes = ws.routes;
@@ -337,6 +417,11 @@ void Context::execute_task(ReadyTask t, int wid) {
       }
     }
   }
+
+  // Release the inputs and outputs, as a TaskCtx owning them would: the
+  // row's slots are empty again and the output vector keeps its capacity.
+  for (size_t i = 0; i < num_inputs; ++i) inputs[i].reset();
+  ws.outputs.clear();
 
   MP_ANNOTATE_TASK_END();
   ws.progress.store(ws.progress.load(std::memory_order_relaxed) + 1,
@@ -569,6 +654,15 @@ void Context::serve_steal_request(const vc::Message& msg) {
     for (auto& t : popped) {
       const bool foreign = t.origin >= 0 && t.origin != rank();
       if (!foreign && pool_.cls(t.key.cls).migratable) {
+        if (t.row >= 0) {
+          // The task leaves this rank with its inputs; its row stays
+          // claimed, so a late duplicate deposit is still caught here.
+          DataBuf* in = deps_.slots(t.row);
+          t.inputs.assign(
+              std::make_move_iterator(in),
+              std::make_move_iterator(in + deps_.row(t.row).threshold));
+          t.row = -1;
+        }
         batch.push_back(std::move(t));
       } else {
         keep.push_back(std::move(t));
@@ -1084,12 +1178,33 @@ double Context::watchdog_deadline_ms() const {
 }
 
 std::string Context::watchdog_dump() {
+  // What this rank waits on: partly filled rows and fallback entries, and
+  // by name the first rows still short of their inputs (a snapshot; the
+  // workers may be depositing while it is taken).
+  constexpr int kNamedRows = 8;
   size_t pending_keys = 0, pending_arrived = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    pending_keys += shard.map.size();
-    for (const auto& kv : shard.map) {
-      pending_arrived += static_cast<size_t>(kv.second.arrived);
+  std::string waiting;
+  int named = 0;
+  for (int32_t r = 0; r < static_cast<int32_t>(deps_.size()); ++r) {
+    const DepTable::Row& row = deps_.row(r);
+    const int32_t arrived = deps_.arrived(r);
+    if (arrived >= row.threshold) continue;
+    if (arrived > 0) {
+      ++pending_keys;
+      pending_arrived += static_cast<size_t>(arrived);
+    }
+    if (named < kNamedRows) {
+      waiting += (named++ == 0 ? "" : ", ") + key_name(pool_, row.key) + " " +
+                 std::to_string(arrived) + "/" +
+                 std::to_string(row.threshold);
+    }
+  }
+  {
+    std::lock_guard lock(fallback_mu_);
+    for (const auto& [key, e] : fallback_) {
+      if (e.activated) continue;
+      ++pending_keys;
+      pending_arrived += static_cast<size_t>(e.arrived);
     }
   }
   size_t outbox_depth = 0;
@@ -1126,6 +1241,7 @@ std::string Context::watchdog_dump() {
      << " outbox_depth=" << outbox_depth
      << " mailbox_depth=" << rctx_.mailbox().size()
      << " remote_activations_sent=" << remote_sent_.load();
+  if (!waiting.empty()) os << " waiting_on=[" << waiting << "]";
   if (stealing_active()) {
     os << " credits=" << ss.credits_received << "/" << ss.tasks_migrated_out
        << " migrated_in=" << ss.tasks_migrated_in
@@ -1549,13 +1665,18 @@ void Context::reset_local_state(uint64_t submission) {
   while (mb.try_pop()) ++rep.stale_messages;
   mb.rebase_windows();
 
-  // ---- per-submission dependency + recovery state
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    rep.pending_deposits += shard.map.size();
-    rep.activated_keys += shard.activated.size();
-    shard.map.clear();
-    shard.activated.clear();
+  // ---- per-submission dependency + recovery state. Rows of a clean run
+  // are all activated with empty slots; a run that unwound leaves partly
+  // filled rows and unexecuted inputs, released here.
+  const DepTable::Cleared cleared = deps_.reset();
+  rep.pending_deposits = cleared.partial;
+  rep.activated_keys = cleared.activated;
+  {
+    std::lock_guard lock(fallback_mu_);
+    for (const auto& [key, e] : fallback_) {
+      ++(e.activated ? rep.activated_keys : rep.pending_deposits);
+    }
+    fallback_.clear();
   }
   {
     std::lock_guard lock(adopt_mu_);
@@ -1598,6 +1719,7 @@ void Context::reset_local_state(uint64_t submission) {
     ws.busy.store(false, std::memory_order_relaxed);
     ws.unpublished = 0;
     ws.batch.clear();
+    ws.outputs.clear();
   }
   st_requests_sent_.store(0, std::memory_order_release);
   st_requests_received_.store(0, std::memory_order_release);
@@ -1619,6 +1741,7 @@ void Context::reset_local_state(uint64_t submission) {
   fs_tasks_reinjected_.store(0, std::memory_order_release);
   fs_fenced_dropped_.store(0, std::memory_order_release);
   fs_dup_deposits_dropped_.store(0, std::memory_order_release);
+  fs_fallback_deposits_.store(0, std::memory_order_release);
   fs_watchdog_resets_on_death_.store(0, std::memory_order_release);
   foreign_pending_.store(0, std::memory_order_relaxed);
   steal_outstanding_.store(0, std::memory_order_relaxed);
@@ -1743,6 +1866,8 @@ void Context::run_submission() {
     for (auto& t : workers) t.join();
 
     comm_stop_.store(true, std::memory_order_release);
+    // End the comm thread's mailbox wait now rather than at its timeout.
+    rctx_.mailbox().wake();
     comm.join();
   } else {
     // Steady-state resubmission: no thread churn. The long-lived threads
@@ -1755,6 +1880,7 @@ void Context::run_submission() {
     }
     wait_workers_parked();
     comm_stop_.store(true, std::memory_order_release);
+    rctx_.mailbox().wake();
     wait_comm_parked();
   }
 

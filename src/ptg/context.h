@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
+#include "ptg/dep_table.h"
 #include "ptg/failure.h"
 #include "ptg/protocol.h"
 #include "ptg/scheduler.h"
@@ -123,9 +124,9 @@ struct Options {
   ///
   /// Memory cost: recovery replays whole chains, so while this flag is on
   /// each rank retains a lineage handle for every remote activation it
-  /// sends (per destination) and every locally-activated TaskKey, for the
-  /// whole run — O(total activations) even when no rank ever dies. Nothing
-  /// can be pruned before job end, because any destination may still die.
+  /// sends (per destination), for the whole run — O(total activations)
+  /// even when no rank ever dies. Nothing can be pruned before job end,
+  /// because any destination may still die.
   /// Leave this off (the default, which pays nothing) unless the job
   /// actually needs to survive rank deaths.
   bool enable_failure_detection = false;
@@ -254,13 +255,17 @@ class Context {
   /// Per-submission state observed (and cleared) by the most recent
   /// between-runs reset — persistent mode only. Sizes are captured before
   /// clearing, so tests can assert nothing leaks across submissions: after
-  /// a clean (no-fault) run, every field except `submission` and
-  /// `lineage_entries`/`activated_keys` (which bound the documented
+  /// a clean (no-fault) run, every field except `submission`,
+  /// `activated_keys` and `lineage_entries` (which bound the documented
   /// O(activations) retention to exactly one submission) must be zero.
   struct ResetReport {
     uint64_t submission = 0;      ///< 1-based index of the finished run
-    size_t pending_deposits = 0;  ///< task instances still awaiting inputs
-    size_t activated_keys = 0;    ///< failure-mode dedup set entries
+    /// Task instances with some but not all inputs: partly filled
+    /// dependency-table rows plus unactivated fallback entries.
+    size_t pending_deposits = 0;
+    /// Instances whose inputs completed (table rows and fallback entries);
+    /// their claims are what drops a duplicate deposit.
+    size_t activated_keys = 0;
     size_t lineage_entries = 0;   ///< remote-activation lineage retained
     size_t held_ready = 0;        ///< parked pre-adoption input sets
     size_t adopted_keys = 0;      ///< keys adopted from dead ranks
@@ -331,26 +336,10 @@ class Context {
   const Trace& trace() const { return trace_; }
 
  private:
-  struct Pending {
-    std::vector<DataBuf> inputs;
-    int arrived = 0;
-    int threshold = 0;
-    bool initialized = false;
-  };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<TaskKey, Pending, TaskKeyHash> map;
-    /// Keys whose activation threshold completed here (failure runs only):
-    /// any further deposit for them is a recovery replay racing the
-    /// original delivery, dropped as a duplicate.
-    std::unordered_set<TaskKey, TaskKeyHash> activated;
-  };
-  static constexpr int kShards = 16;
-
   /// Push this submission's startup frontier and count the rank's own
-  /// instances into expected_. The frontier is enumerated on the first
-  /// submission only (enumerate_rank is a function of the template; debug
-  /// builds re-enumerate and compare).
+  /// instances into expected_. The frontier and the dependency table are
+  /// built on the first submission only (enumerate_rank is a function of
+  /// the template; debug builds re-enumerate and compare).
   void enumerate_startup();
   /// A startup-frontier entry: a zero-input own instance.
   struct StartupTask {
@@ -359,8 +348,9 @@ class Context {
     friend bool operator==(const StartupTask&, const StartupTask&) = default;
   };
   /// Enumerates every own instance of this rank: the zero-input ones into
-  /// `frontier`, the total count into `own`.
-  void enumerate_frontier(std::vector<StartupTask>& frontier,
+  /// `frontier`, the others as rows of `table` (not sealed), the total
+  /// count into `own`.
+  void enumerate_frontier(std::vector<StartupTask>& frontier, DepTable& table,
                           uint64_t& own) const;
   /// One full submission: verify (if due), enumerate, execute, unwind.
   /// Shared by the one-shot and persistent paths; only thread management
@@ -477,7 +467,7 @@ class Context {
   /// Some worker is inside a task body or its routing.
   bool any_worker_busy() const;
   /// Diagnostic snapshot for the watchdog's StateError (executed/expected
-  /// counts, pending-deposit map sizes, queue depths).
+  /// counts, pending deposits, queue depths, the first unactivated rows).
   std::string watchdog_dump();
   /// Deliver one input to a task instance. When the arrival completes the
   /// instance and `batch` is non-null, the ReadyTask is appended there for
@@ -485,6 +475,10 @@ class Context {
   /// otherwise it is pushed immediately with hint -1 (comm thread).
   void deposit(const TaskKey& key, int slot, DataBuf buf,
                std::vector<ReadyTask>* batch = nullptr);
+  /// deposit() for a key outside the dependency table (adopted or
+  /// re-homed instances after a confirmed death): the mutex-guarded map.
+  void deposit_fallback(const TaskKey& key, int slot, DataBuf buf,
+                        std::vector<ReadyTask>* batch);
   ReadyTask build_task(const TaskKey& key, std::vector<DataBuf> inputs) const;
   void make_ready(const TaskKey& key, std::vector<DataBuf> inputs,
                   int worker_hint);
@@ -501,7 +495,20 @@ class Context {
   Options opts_;
   std::unique_ptr<Scheduler> sched_;
 
-  Shard shards_[kShards];
+  /// Own instances with task inputs, built with the startup frontier.
+  /// Read-only after that except for the rows' atomic state and slots.
+  DepTable deps_;
+  /// Deposit targets outside deps_ (failure recovery only), guarded by
+  /// fallback_mu_. Under failure mode an activated entry stays, with
+  /// `activated` set, so that a replayed deposit is dropped.
+  struct Pending {
+    std::vector<DataBuf> inputs;
+    int arrived = 0;
+    int threshold = 0;
+    bool activated = false;
+  };
+  std::mutex fallback_mu_;
+  std::unordered_map<TaskKey, Pending, TaskKeyHash> fallback_;
   /// Own task instances plus instances adopted from dead ranks. Atomic:
   /// recovery (comm thread) grows it while workers compare against it.
   std::atomic<uint64_t> expected_{0};
@@ -531,6 +538,7 @@ class Context {
     uint64_t unpublished = 0;  ///< own tasks done, not yet in executed_
     std::vector<OutRoute> routes;   ///< route_outputs scratch, reused
     std::vector<ReadyTask> batch;   ///< one task's local activations
+    std::vector<DataBuf> outputs;   ///< the running task's outputs, reused
   };
   std::vector<WorkerState> workers_;
 
@@ -642,6 +650,7 @@ class Context {
   std::atomic<uint64_t> fs_tasks_reinjected_{0};
   std::atomic<uint64_t> fs_fenced_dropped_{0};
   std::atomic<uint64_t> fs_dup_deposits_dropped_{0};
+  std::atomic<uint64_t> fs_fallback_deposits_{0};
   std::atomic<uint64_t> fs_watchdog_resets_on_death_{0};
 
   std::chrono::steady_clock::time_point epoch_;

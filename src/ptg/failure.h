@@ -43,9 +43,10 @@ inline const char* to_string(FailurePolicy p) {
 }
 
 /// Per-rank counters for the heartbeat failure detector and lineage-based
-/// recovery. All counters are written by the comm thread only; snapshots
-/// from other threads are taken after Context::run returns (or are
-/// tolerated as advisory in watchdog dumps).
+/// recovery. All counters are written by the comm thread, except the two
+/// deposit counters, which workers write too; snapshots from other threads
+/// are taken after Context::run returns (or are tolerated as advisory in
+/// watchdog dumps).
 struct FailureStats {
   /// Explicit HEARTBEAT messages sent while idle (piggybacked liveness on
   /// ordinary traffic is free and not counted here).
@@ -70,6 +71,9 @@ struct FailureStats {
   /// Duplicate deposits dropped by the recovery-idempotence filter (a
   /// replayed activation racing the original delivery).
   uint64_t dup_deposits_dropped = 0;
+  /// Deposits into instances outside this rank's dependency table (keys
+  /// re-homed here by recovery), which take the mutex-guarded fallback map.
+  uint64_t fallback_deposits = 0;
   /// Watchdog deadline resets attributed to a confirmed death (the
   /// regression pair in test_failure pins this to exactly one per death).
   uint64_t watchdog_resets_on_death = 0;
@@ -102,6 +106,14 @@ struct FailureStats {
         deaths_confirmed == 0) {
       return "FailureStats: recovery work recorded with deaths_confirmed == 0";
     }
+    // Every key this rank owns is in its table, so only a death re-homes
+    // a deposit to the fallback map. A peer may reroute before this rank
+    // confirms the death itself, so this holds for post-run snapshots.
+    if (fallback_deposits > 0 && deaths_confirmed == 0) {
+      return "FailureStats: fallback_deposits (" +
+             std::to_string(fallback_deposits) +
+             ") > 0 with deaths_confirmed == 0";
+    }
     return {};
   }
 
@@ -117,7 +129,8 @@ struct FailureStats {
            " replayed=" + std::to_string(lineage_replayed) +
            " reinjected=" + std::to_string(tasks_reinjected) +
            " fenced=" + std::to_string(fenced_dropped) +
-           " dup_drop=" + std::to_string(dup_deposits_dropped);
+           " dup_drop=" + std::to_string(dup_deposits_dropped) +
+           " fallback=" + std::to_string(fallback_deposits);
   }
 };
 

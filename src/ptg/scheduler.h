@@ -47,6 +47,9 @@ struct ReadyTask {
   /// locally-owned task. The executor credits the origin rank instead of
   /// counting the completion locally (see Context).
   int origin = -1;
+  /// Row of the Context's dependency table whose slots hold the inputs, or
+  /// -1 when `inputs` holds them (startup, adopted and migrated tasks).
+  int32_t row = -1;
   TaskKey key;
   std::vector<DataBuf> inputs;
 };

@@ -5,7 +5,7 @@
 namespace mp::ptg {
 
 const DataBuf& TaskCtx::input(int slot) const {
-  MP_REQUIRE(slot >= 0 && static_cast<size_t>(slot) < inputs_.size(),
+  MP_REQUIRE(slot >= 0 && static_cast<size_t>(slot) < num_inputs_,
              "TaskCtx::input: bad slot");
   MP_REQUIRE(inputs_[static_cast<size_t>(slot)] != nullptr,
              "TaskCtx::input: slot was never deposited");
@@ -13,17 +13,19 @@ const DataBuf& TaskCtx::input(int slot) const {
 }
 
 DataBuf TaskCtx::take_input(int slot) {
-  MP_REQUIRE(slot >= 0 && static_cast<size_t>(slot) < inputs_.size(),
+  MP_REQUIRE(slot >= 0 && static_cast<size_t>(slot) < num_inputs_,
              "TaskCtx::take_input: bad slot");
   return std::move(inputs_[static_cast<size_t>(slot)]);
 }
 
 void TaskCtx::set_output(int slot, DataBuf buf) {
   MP_REQUIRE(slot >= 0 && slot < 128, "TaskCtx::set_output: bad slot");
-  if (outputs_.size() <= static_cast<size_t>(slot)) {
-    outputs_.resize(static_cast<size_t>(slot) + 1);
+  // The vector is the worker's, cleared after each task: once it has grown
+  // to a class's output count, resizing allocates nothing.
+  if (outputs_->size() <= static_cast<size_t>(slot)) {
+    outputs_->resize(static_cast<size_t>(slot) + 1);
   }
-  outputs_[static_cast<size_t>(slot)] = std::move(buf);
+  (*outputs_)[static_cast<size_t>(slot)] = std::move(buf);
 }
 
 int16_t Taskpool::add_class(TaskClass tc) {

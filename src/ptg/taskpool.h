@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,19 @@ namespace mp::ptg {
 
 class Context;
 
-/// Execution-time view handed to a task body.
+/// Execution-time view handed to a task body. The input slots and the
+/// output vector belong to the runtime (a dependency-table row and the
+/// executing worker's reused vector) and outlive the body.
 class TaskCtx {
  public:
-  TaskCtx(Context* rt, TaskKey key, std::vector<DataBuf> inputs, int worker)
-      : rt_(rt), key_(key), inputs_(std::move(inputs)), worker_(worker) {}
+  TaskCtx(Context* rt, TaskKey key, DataBuf* inputs, size_t num_inputs,
+          std::vector<DataBuf>* outputs, int worker)
+      : rt_(rt),
+        key_(key),
+        inputs_(inputs),
+        num_inputs_(num_inputs),
+        outputs_(outputs),
+        worker_(worker) {}
 
   const TaskKey& key() const { return key_; }
   const Params& params() const { return key_.p; }
@@ -44,17 +53,20 @@ class TaskCtx {
   Context& runtime() const { return *rt_; }
 
   // -- used by the runtime after the body returns --
-  std::vector<DataBuf>& outputs() { return outputs_; }
+  std::vector<DataBuf>& outputs() { return *outputs_; }
 
   /// All input buffers (null where take_input() moved one out). Used by the
   /// runtime's lifecycle instrumentation.
-  const std::vector<DataBuf>& inputs_view() const { return inputs_; }
+  std::span<const DataBuf> inputs_view() const {
+    return {inputs_, num_inputs_};
+  }
 
  private:
   Context* rt_;
   TaskKey key_;
-  std::vector<DataBuf> inputs_;
-  std::vector<DataBuf> outputs_;
+  DataBuf* inputs_;
+  size_t num_inputs_;
+  std::vector<DataBuf>* outputs_;
   int worker_;
 };
 

@@ -12,7 +12,7 @@
 //     and use-after-release are reported even after the allocator or the
 //     BufPool has recycled the address (MPA001/MPA002/MPA003).
 //   - vector-clock happens-before — every legitimate cross-thread handoff
-//     (mailbox push/pop, scheduler queue, pending-deposit shard) is an
+//     (mailbox push/pop, scheduler queue, dependency-table row) is an
 //     annotated channel; an access to a tracked object that is not ordered
 //     by the channel graph and shares no lock with the previous access is a
 //     data race (MPA004).

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -186,7 +187,8 @@ void expect_values_correct(const std::vector<double>& got) {
   }
 }
 
-void run_policy_recovery(FailurePolicy policy) {
+/// Returns the survivors' total fallback deposits (FailureStats).
+uint64_t run_policy_recovery(FailurePolicy policy) {
   const int nranks = 4, width = 96, victim = 2;
   vc::FabricConfig cfg;
   cfg.crash_plans.push_back({victim, /*after_messages=*/60});
@@ -207,7 +209,7 @@ void run_policy_recovery(FailurePolicy policy) {
   expect_values_correct(got);
   EXPECT_TRUE(reports[victim].killed) << "the CrashPlan must have fired";
 
-  uint64_t adopted = 0, replayed = 0;
+  uint64_t adopted = 0, replayed = 0, fallback = 0;
   for (int r = 0; r < nranks; ++r) {
     if (r == victim) continue;
     const FaultReport& rep = reports[static_cast<size_t>(r)];
@@ -220,6 +222,7 @@ void run_policy_recovery(FailurePolicy policy) {
     EXPECT_EQ(rep.dead_mask, 1ULL << victim) << "rank " << r;
     adopted += rep.failure.tasks_adopted;
     replayed += rep.failure.lineage_replayed;
+    fallback += rep.failure.fallback_deposits;
   }
   // Adoption is a deterministic partition of the victim's instances over
   // the survivors: every instance is adopted exactly once.
@@ -228,10 +231,17 @@ void run_policy_recovery(FailurePolicy policy) {
   // The kill fires during the activation burst, so some FEED outputs bound
   // for the victim were already logged and must be replayed.
   EXPECT_GT(replayed, 0u);
+  return fallback;
 }
 
 TEST(FailureRecovery, RetryCompletesAfterSeededCrash) {
-  run_policy_recovery(FailurePolicy::kRetry);
+  // The replayed activations feed keys homed on the victim, which no
+  // survivor's dependency table holds: they take the fallback map.
+  const uint64_t fallback = run_policy_recovery(FailurePolicy::kRetry);
+  EXPECT_GT(fallback, 0u);
+  RecordProperty("fallback_deposits", std::to_string(fallback));
+  std::printf("fallback deposits after one kRetry death: %llu\n",
+              static_cast<unsigned long long>(fallback));
 }
 
 TEST(FailureRecovery, DegradeCompletesAfterSeededCrash) {

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -625,6 +627,61 @@ TEST(Context, MissingOutputIsDiagnosed) {
       InvalidArgument);
 }
 
+TEST(Context, DepositIntoAnUndeclaredInputSlotNamesTheConsumer) {
+  // MPV005 caught at run time, with the static verifier off: a route
+  // names input slot 1 of a consumer that declares one task input. The
+  // deposit itself must fail and name the consumer and the slot; counting
+  // it would activate the consumer with slot 0 never filled.
+  std::optional<std::string> saved;
+  if (const char* v = std::getenv("MP_VERIFY")) saved = v;
+  ::unsetenv("MP_VERIFY");
+  struct Restore {
+    std::optional<std::string>& v;
+    ~Restore() {
+      if (v) ::setenv("MP_VERIFY", v->c_str(), 1);
+    }
+  } restore{saved};
+
+  vc::Cluster cluster(1);
+  std::atomic<int> sink_runs{0};
+  try {
+    cluster.run([&](vc::RankCtx& rctx) {
+      Taskpool pool;
+      TaskClass src;
+      src.name = "src";
+      src.rank_of = [](const Params&) { return 0; };
+      src.num_task_inputs = [](const Params&) { return 0; };
+      src.enumerate_rank = [](int) {
+        return std::vector<Params>{params_of(0)};
+      };
+      src.body = [](TaskCtx& t) { t.set_output(0, make_buf(1, 1.0)); };
+      TaskClass sink;
+      sink.name = "sink";
+      sink.rank_of = [](const Params&) { return 0; };
+      sink.num_task_inputs = [](const Params&) { return 1; };
+      sink.enumerate_rank = [](int) {
+        return std::vector<Params>{params_of(3, 4)};
+      };
+      sink.body = [&sink_runs](TaskCtx&) { ++sink_runs; };
+      const auto src_id = pool.add_class(std::move(src));
+      const auto sink_id = pool.add_class(std::move(sink));
+      pool.mutable_cls(src_id).route_outputs =
+          [sink_id](const Params&, std::vector<OutRoute>& r) {
+            r.push_back({TaskKey{sink_id, params_of(3, 4)}, 1, 0});
+          };
+      Context ctx(rctx, pool);
+      ctx.run();
+    });
+    FAIL() << "expected the deposit to raise InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("sink(3,4,0)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("input slot 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1 task input"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(sink_runs.load(), 0);
+}
+
 TEST(Context, AbortPropagationUnderHighLatencyFabric) {
   // A task fails on one rank while every activation and the abort
   // broadcast itself crawl through a high-latency fabric. All ranks must
@@ -707,6 +764,50 @@ TEST(Context, WatchdogTurnsLostActivationIntoStateError) {
     EXPECT_NE(msg.find("outbox_depth="), std::string::npos) << msg;
   }
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(20));
+}
+
+TEST(Context, WatchdogDumpNamesTheRowsItWaitsOn) {
+  // The lost-activation stall above, read for what it waits on: every hop
+  // after the first has one input, sent from the other rank and dropped,
+  // so the dump must name an unactivated hop row at 0 of 1 inputs.
+  vc::FabricConfig cfg;
+  cfg.faults.drop_prob = 1.0;
+  vc::Cluster cluster(2, cfg);
+  try {
+    cluster.run([&](vc::RankCtx& rctx) {
+      Taskpool pool;
+      TaskClass c;
+      c.name = "hop";
+      c.rank_of = [](const Params& p) { return p[0] % 2; };
+      c.num_task_inputs = [](const Params& p) { return p[0] == 0 ? 0 : 1; };
+      c.enumerate_rank = [](int rank) {
+        std::vector<Params> out;
+        for (int i = rank; i < 6; i += 2) out.push_back(params_of(i));
+        return out;
+      };
+      c.body = [](TaskCtx& t) { t.set_output(0, make_buf(1, 1.0)); };
+      const auto id = pool.add_class(std::move(c));
+      pool.mutable_cls(id).route_outputs =
+          [id](const Params& p, std::vector<OutRoute>& r) {
+            if (p[0] < 5) {
+              r.push_back({TaskKey{id, params_of(p[0] + 1)}, 0, 0});
+            }
+          };
+      Options opts;
+      opts.watchdog_timeout_ms = 200.0;
+      Context ctx(rctx, pool, opts);
+      ctx.run();
+    });
+    FAIL() << "expected the watchdog to raise StateError";
+  } catch (const StateError& e) {
+    const std::string msg = e.what();
+    bool named = false;
+    for (int i = 1; i <= 5; ++i) {
+      named |= msg.find("hop(" + std::to_string(i) + ",0,0) 0/1") !=
+               std::string::npos;
+    }
+    EXPECT_TRUE(named) << msg;
+  }
 }
 
 TEST(Context, ZeroWorkersRejected) {

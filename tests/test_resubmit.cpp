@@ -9,13 +9,16 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cc/ccsd.h"
 #include "cc/integration.h"
 #include "cc/model.h"
+#include "ptg/context.h"
 #include "support/rng.h"
 #include "tce/template_cache.h"
+#include "vc/cluster.h"
 
 namespace mp::cc {
 namespace {
@@ -177,6 +180,91 @@ TEST_F(ResubmitLadder, ResetReclaimsAllPerSubmissionState) {
       << "fault-tolerant runs must have dedup entries for the reset to free";
   EXPECT_TRUE(any_lineage)
       << "fault-tolerant runs must have lineage entries for the reset to free";
+}
+
+// A submission that unwinds mid-run leaves dependency-table rows partly
+// filled, and activated rows whose task never ran, all holding buffers.
+// The next reset must report the partial rows and release every buffer,
+// and the submissions after it must compute the serial result. A ring of
+// SUM(i) = SRC(i) + SRC(i+1) on one worker makes the partial rows exact:
+// SRC(0..7) run in order before SRC(8) throws, which leaves SUM(7) and
+// SUM(15) with one of their two inputs.
+TEST(ResubmitReset, RowsLeftByAnErroredSubmissionAreReportedAndCleared) {
+  using namespace ptg;
+  constexpr int kRing = 16, kThrowAt = 8;
+  const auto src_val = [](int i, int submission) {
+    return 0.37 * (i + 1) * (submission + 1) + 1.0 / (i + 3);
+  };
+  int submission = 0;
+  std::vector<double> got(kRing, 0.0);
+  std::vector<std::weak_ptr<std::vector<double>>> first_bufs;
+  vc::Cluster cluster(1);
+  cluster.run([&](vc::RankCtx& rctx) {
+    Taskpool pool;
+    TaskClass src;
+    src.name = "SRC";
+    src.rank_of = [](const Params&) { return 0; };
+    src.num_task_inputs = [](const Params&) { return 0; };
+    src.enumerate_rank = [](int) {
+      std::vector<Params> out;
+      for (int i = 0; i < kRing; ++i) out.push_back(params_of(i));
+      return out;
+    };
+    src.body = [&](TaskCtx& t) {
+      const int i = t.params()[0];
+      if (submission == 0 && i == kThrowAt) {
+        throw std::runtime_error("injected mid-run failure");
+      }
+      DataBuf b = make_buf(1, src_val(i, submission));
+      if (submission == 0) first_bufs.push_back(b);
+      t.set_output(0, std::move(b));
+    };
+    TaskClass sum;
+    sum.name = "SUM";
+    sum.rank_of = [](const Params&) { return 0; };
+    sum.num_task_inputs = [](const Params&) { return 2; };
+    sum.enumerate_rank = src.enumerate_rank;
+    sum.body = [&](TaskCtx& t) {
+      got[static_cast<size_t>(t.params()[0])] =
+          (*t.input(0))[0] + (*t.input(1))[0];
+    };
+    const auto src_id = pool.add_class(std::move(src));
+    const auto sum_id = pool.add_class(std::move(sum));
+    pool.mutable_cls(src_id).route_outputs =
+        [sum_id](const Params& p, std::vector<OutRoute>& r) {
+          const int i = p[0];
+          r.push_back({TaskKey{sum_id, params_of(i)}, 0, 0});
+          r.push_back(
+              {TaskKey{sum_id, params_of((i + kRing - 1) % kRing)}, 1, 0});
+        };
+    Options opts;
+    opts.num_workers = 1;
+    opts.persistent = true;
+    Context ctx(rctx, pool, opts);
+    EXPECT_THROW(ctx.run(), std::runtime_error);
+    ASSERT_EQ(first_bufs.size(), static_cast<size_t>(kThrowAt));
+
+    for (submission = 1; submission <= 2; ++submission) {
+      std::fill(got.begin(), got.end(), 0.0);
+      ctx.run();
+      const auto& rep = ctx.last_reset_report();
+      if (submission == 1) {
+        EXPECT_GT(rep.pending_deposits, 0u);
+        EXPECT_EQ(rep.pending_deposits, 2u) << "SUM(7) and SUM(15)";
+        for (const auto& w : first_bufs) {
+          EXPECT_TRUE(w.expired()) << "a buffer of the errored run survived";
+        }
+      } else {
+        EXPECT_EQ(rep.pending_deposits, 0u);
+      }
+      for (int i = 0; i < kRing; ++i) {
+        const double want =
+            src_val(i, submission) + src_val((i + 1) % kRing, submission);
+        EXPECT_NEAR(got[static_cast<size_t>(i)], want, 1e-12)
+            << "submission " << submission << " SUM(" << i << ")";
+      }
+    }
+  });
 }
 
 // mp-verify runs once per template (at build), not once per submission.

@@ -200,6 +200,7 @@ struct RankCounters {
   uint64_t executed = 0, completed = 0, expected = 0, remote = 0;
   ptg::StealStats steal;
   ptg::SchedStats sched;
+  ptg::FailureStats failure;
 };
 
 /// N submissions of one persistent Context per rank; returns the counters
@@ -231,6 +232,7 @@ std::vector<std::vector<RankCounters>> run_persistent_dag(
       rc.remote = ctx.remote_activations_sent();
       rc.steal = ctx.steal_stats();
       rc.sched = ctx.scheduler_stats();
+      rc.failure = ctx.failure_stats();
       // Every rank has finished this submission (run() ends in a barrier)
       // before rank 0 checks and clears the sinks for the next one.
       if (rctx.rank() == 0) {
@@ -298,6 +300,41 @@ TEST(TaskPath, StealingCounterPairsExactAfterEveryPersistentSubmission) {
       }
       EXPECT_EQ(executed, total) << "submission " << s;
       EXPECT_EQ(migrated_out, migrated_in) << "submission " << s;
+    }
+  }
+}
+
+// Every deposit of a job without a rank death lands in a dependency-table
+// row: the mutex-guarded fallback map only takes keys a confirmed death
+// re-homed. Same shapes as the two tests above.
+TEST(TaskPath, NoFallbackDepositsWithoutARankDeath) {
+  const FineDag dag = FineDag::make(/*layers=*/12, /*width=*/24, 41);
+  constexpr int kSubmissions = 2;
+  struct Shape {
+    int nranks, workers;
+    bool stealing;
+  };
+  std::vector<Shape> shapes;
+  for (int nranks : {1, 2}) {
+    for (int workers = 1; workers <= 4; ++workers) {
+      shapes.push_back({nranks, workers, false});
+    }
+  }
+  shapes.push_back({2, 1, true});
+  shapes.push_back({2, 3, true});
+  for (const Shape& sh : shapes) {
+    SCOPED_TRACE("ranks " + std::to_string(sh.nranks) + " workers " +
+                 std::to_string(sh.workers) +
+                 (sh.stealing ? " stealing" : ""));
+    const auto runs = run_persistent_dag(dag, sh.nranks, sh.workers,
+                                         sh.stealing, kSubmissions);
+    for (int s = 0; s < kSubmissions; ++s) {
+      for (int r = 0; r < sh.nranks; ++r) {
+        const RankCounters& rc =
+            runs[static_cast<size_t>(s)][static_cast<size_t>(r)];
+        EXPECT_EQ(rc.failure.fallback_deposits, 0u) << "submission " << s;
+        EXPECT_EQ(rc.failure.validate(), "") << "submission " << s;
+      }
     }
   }
 }
